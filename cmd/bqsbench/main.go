@@ -77,7 +77,7 @@ func main() {
 	fixesPer := flag.Int("fixes", 500, "engine mode: fixes per device")
 	compName := flag.String("compressor", "fbqs", fmt.Sprintf("engine mode: compressor name %v", stream.Names()))
 	tol := flag.Float64("tol", 10, "engine mode: deviation tolerance in metres")
-	mergeTol := flag.Float64("merge", 5, "engine mode: store merge tolerance in metres (0 disables merging)")
+	mergeTol := flag.Float64("merge", 0, "engine mode without -persist: store merge tolerance in metres (0, the bqsd setting, disables merging; a durable engine merges only in compaction)")
 	persistDir := flag.String("persist", "", "engine mode: segment-log directory for a durable run ('' keeps the run in-memory)")
 	trailKeys := flag.Int("trail", 0, "engine mode: MaxTrailKeys per session (0 = engine default; small values force chunked records)")
 	segBytes := flag.Int64("segbytes", 0, "engine mode with -persist: segment rotation threshold in bytes (0 = log default; small values seal segments for -compact)")
@@ -458,9 +458,10 @@ func runEngineBench(devices, shards, fixesPer int, compName string, tol, mergeTo
 		float64(s.Fixes)/elapsed.Seconds(), float64(elapsed.Nanoseconds())/float64(s.Fixes))
 	fmt.Printf("sessions: %d opened, %d evicted\n", s.SessionsOpened, s.SessionsEvicted)
 	fmt.Printf("key points: %d  (compression rate %.4f)\n", s.KeyPoints, s.CompressionRate())
-	fmt.Printf("store: %d segments from %d inserted (%d merged), %s wire bytes\n",
-		s.Store.Segments, s.Store.Inserted, s.Store.Merged, humanBytes(e.Stores().StorageBytes()))
-	if lg != nil {
+	if lg == nil { // a durable engine keeps no in-memory store
+		fmt.Printf("store: %d segments from %d inserted (%d merged), %s wire bytes\n",
+			s.Store.Segments, s.Store.Inserted, s.Store.Merged, humanBytes(e.Stores().StorageBytes()))
+	} else {
 		// The log was closed by e.Close; reopen it to report what landed
 		// on disk (also a cheap recovery self-check).
 		rl, err := segmentlog.OpenSharded(persistDir, shards, segmentlog.Options{MaxSegmentBytes: segBytes, CacheBytes: cacheBytes})

@@ -107,7 +107,7 @@ func CompactLog(lg *SegmentLog, policy CompactionPolicy) (CompactionResult, erro
 // X longitude, Y latitude) during [t0, t1]. Sealed block indexes and
 // manifest summaries prune the candidate set; candidates are decoded
 // and tested exactly. Engine.QueryWindow is the metric-plane
-// counterpart that additionally merges live in-memory sessions.
+// counterpart that adds the engine's memtable (unpersisted session trails).
 func QueryLogWindow(lg *SegmentLog, minX, minY, maxX, maxY float64, t0, t1 uint32) ([]SegmentLogRecord, error) {
 	return lg.QueryWindow(minX, minY, maxX, maxY, t0, t1)
 }

@@ -1,8 +1,9 @@
 // Package engine is the server-side ingestion layer: a sharded,
 // goroutine-safe engine that manages many thousands of concurrent device
-// sessions, each owning a streaming compressor from the stream registry
-// and feeding its key points into a per-shard historical trajectory
-// store.
+// sessions, each owning a streaming compressor from the stream registry.
+// Without a persister, key points feed a per-shard historical trajectory
+// store; with one, each session keeps only its unpersisted key-point
+// trail (the memtable) and the segment log holds everything else.
 //
 // Fixes are batched into Ingest and routed to a shard worker by an
 // FNV-1a hash of the device ID, so each device's stream is processed by
@@ -57,7 +58,11 @@ type Config struct {
 	// live until Close.
 	IdleTimeout time.Duration
 	// Store configures the per-shard trajectory stores that receive
-	// every session's compressed segments.
+	// every session's compressed segments when no Persister is set. A
+	// durable engine never feeds them (its stores stay empty: the
+	// memtable plus the log hold everything), and New rejects a
+	// MergeTolerance > 0 beside a Persister — durable merging is
+	// compaction's job (segmentlog.CompactionPolicy.MergeChunks).
 	Store trajstore.Config
 	// OnKey, when non-nil, receives every finalized key point in
 	// per-device order. It is called from shard worker goroutines —
@@ -152,8 +157,9 @@ type Stats struct {
 	PersistFailures uint64          // failed persister append/sync attempts (retried ones included)
 	CompactFailures uint64          // failed compaction passes (periodic or CompactNow)
 	CompactReclaim  int64           // net disk bytes freed by published compactions
+	MemtableKeys    int             // unpersisted key points in memory: session trails plus parked trails
 	Cache           cache.Stats     // read-side record cache counters (zero without a cache)
-	Store           trajstore.Stats // merged per-shard store statistics
+	Store           trajstore.Stats // merged per-shard store statistics (zero on a durable engine)
 }
 
 // CompressionRate returns KeyPoints/Fixes (lower is better), 0 when no
@@ -234,10 +240,10 @@ type Engine struct {
 // session is the per-device state, owned by exactly one shard worker.
 type session struct {
 	comp     stream.Compressor
-	lastKey  core.Point // previous key point: segment start for the store
+	lastKey  core.Point // previous key point: segment start for the store (non-persisting only)
 	haveKey  bool
 	lastSeen time.Time
-	keys     []core.Point // key-point trail, kept only when persisting; capped at MaxTrailKeys
+	keys     []core.Point // unpersisted key-point trail (persisting only; guarded by shard.mu); capped at MaxTrailKeys
 	chunked  bool         // the trail starts with the previous chunk's last key
 }
 
@@ -248,19 +254,29 @@ type session struct {
 // (profiling at GOMAXPROCS>1 showed the global keys/fixes atomics
 // bouncing between cores on every key point). Stats sums them.
 type shard struct {
-	eng      *Engine
-	in       chan shardMsg
-	store    *trajstore.Store
+	eng   *Engine
+	in    chan shardMsg
+	store *trajstore.Store
+
+	// mu guards the memtable — the sessions map, every session's keys
+	// trail and parked — against QueryWindow. Only this worker writes
+	// them, so its own reads skip the lock; it takes mu per key point,
+	// per session open/close and per drain, never per fix, and holds it
+	// across the persister append that moves a trail into the log, so a
+	// trail leaves the memtable in the critical section in which its
+	// Append succeeds. Lock order: shard mu, then the persister's locks.
+	mu       sync.Mutex
 	sessions map[string]*session
 
 	// parked holds finalized trajectories whose persister append failed
 	// terminally (degraded mode), in append order. They are retained so
 	// acked data survives the outage and re-appended by drainParked when
 	// Heal succeeds; order matters because a device's chunked records
-	// must land in trail order. Owned by this worker goroutine; parkedN
-	// mirrors len(parked) for the Stats reader.
+	// must land in trail order. parkedN mirrors len(parked) and memKeys
+	// the memtable's key count, both for the lock-free Stats reader.
 	parked  []parkedTrail
 	parkedN atomic.Uint64
+	memKeys atomic.Int64
 
 	// persist, when non-nil, is this shard's private slice of a sharded
 	// persister (trajstore.ShardedPersister with a shard count matching
@@ -353,6 +369,9 @@ func New(cfg Config) (*Engine, error) {
 	stores, err := trajstore.NewSharded(cfg.Shards, cfg.Store)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
+	}
+	if cfg.Persister != nil && cfg.Store.MergeTolerance > 0 {
+		return nil, errors.New("engine: Store.MergeTolerance is unused with a Persister (a durable engine keeps no merging store); merge durable history with compaction's MergeChunks (Section V-F)")
 	}
 	if cfg.MetersPerDegree == 0 {
 		cfg.MetersPerDegree = 1e5
@@ -845,6 +864,7 @@ func (e *Engine) Stats() Stats {
 	s := Stats{Store: e.stores.MergedStats()}
 	for _, sh := range e.shards {
 		s.ActiveSessions += int(sh.active.Load())
+		s.MemtableKeys += int(sh.memKeys.Load())
 		s.SessionsOpened += sh.opened.Load()
 		s.SessionsEvicted += sh.evicted.Load()
 		s.Fixes += sh.fixes.Load()
@@ -862,7 +882,9 @@ func (e *Engine) Stats() Stats {
 	return s
 }
 
-// Stores exposes the per-shard trajectory stores for querying.
+// Stores exposes the per-shard trajectory stores for querying. Only a
+// non-persisting engine fills them; on a durable engine they stay empty
+// and QueryWindow is the read path.
 func (e *Engine) Stores() *trajstore.Sharded { return e.stores }
 
 // Close flushes every open session (emitting final key points and
@@ -960,7 +982,9 @@ func (sh *shard) ingestBatch(fixes []Fix) {
 			s = sh.sessions[device]
 			if s == nil {
 				s = sh.newSession()
+				sh.mu.Lock()
 				sh.sessions[device] = s
+				sh.mu.Unlock()
 				sh.active.Add(1)
 				sh.opened.Add(1)
 			}
@@ -986,19 +1010,25 @@ func (sh *shard) newSession() *session {
 	return &session{comp: comp}
 }
 
-// emit records a finalized key point: consecutive key points form a
-// compressed segment inserted into the shard's store.
+// emit records a finalized key point. A durable engine appends it to
+// the session's memtable trail (persisting a full trail as a chunk);
+// otherwise consecutive key points form a compressed segment inserted
+// into the shard's store. OnKey runs outside the shard lock.
 func (sh *shard) emit(device string, s *session, kp core.Point) {
-	if s.haveKey {
-		sh.store.Insert(s.lastKey, kp)
-	}
-	s.lastKey = kp
-	s.haveKey = true
 	if sh.eng.persisting {
+		sh.mu.Lock()
 		s.keys = append(s.keys, kp)
+		sh.memKeys.Add(1)
 		if len(s.keys) >= sh.eng.cfg.MaxTrailKeys {
 			sh.persistTrail(device, s, false)
 		}
+		sh.mu.Unlock()
+	} else {
+		if s.haveKey {
+			sh.store.Insert(s.lastKey, kp)
+		}
+		s.lastKey = kp
+		s.haveKey = true
 	}
 	sh.keys.Add(1)
 	if sh.eng.cfg.OnKey != nil {
@@ -1006,26 +1036,29 @@ func (sh *shard) emit(device string, s *session, kp core.Point) {
 	}
 }
 
-// persistTrail writes the session's accumulated key-point trail to the
-// persister. A non-final (chunking) flush restarts the trail from its
-// last key point so consecutive records overlap by one key and the
-// polyline stays reconstructable; a final flush skips a trail that is
-// only that overlap (nothing new to record).
+// persistTrail moves the session's memtable trail into the persister
+// (or the park queue); the caller holds sh.mu. A non-final (chunking)
+// flush restarts the trail from its last key point so consecutive
+// records overlap by one key and the polyline stays reconstructable —
+// the overlap key starts no pair until the next key arrives, so no pair
+// is in both the memtable and the log. A final flush skips a trail that
+// is only that overlap (nothing new to record).
 func (sh *shard) persistTrail(device string, s *session, final bool) {
-	if len(s.keys) == 0 || (final && s.chunked && len(s.keys) == 1) {
+	n := len(s.keys)
+	if n == 0 || (final && s.chunked && n == 1) {
+		sh.memKeys.Add(-int64(n))
 		s.keys, s.chunked = nil, false
 		return
 	}
 	m := sh.eng.mPerDegree
-	geo := trajstore.PointKeysToGeo(s.keys, m, m)
-	if len(geo) > 0 {
-		sh.persistGeo(device, geo)
-	}
+	sh.persistGeo(device, trajstore.PointKeysToGeo(s.keys, m, m))
 	if final {
+		sh.memKeys.Add(-int64(n))
 		s.keys, s.chunked = nil, false
 		return
 	}
-	last := s.keys[len(s.keys)-1]
+	sh.memKeys.Add(-int64(n - 1))
+	last := s.keys[n-1]
 	s.keys = append(s.keys[:0], last)
 	s.chunked = true
 }
@@ -1037,7 +1070,7 @@ func (sh *shard) persistTrail(device string, s *session, final bool) {
 // in memory and is re-appended — in order — when Heal succeeds. While
 // anything is parked (or the engine is degraded) new trails join the
 // park queue rather than jumping it: a device's chunked records must
-// reach the log in trail order.
+// reach the log in trail order. The caller holds sh.mu.
 func (sh *shard) persistGeo(device string, geo []trajstore.GeoKey) {
 	if len(sh.parked) > 0 || sh.eng.degraded.Load() != nil {
 		sh.park(device, geo)
@@ -1051,18 +1084,21 @@ func (sh *shard) persistGeo(device string, geo []trajstore.GeoKey) {
 	sh.persisted.Add(1)
 }
 
-// park retains a finalized trajectory in memory for re-append after
-// Heal. geo is freshly allocated per trail (PointKeysToGeo), so holding
-// it aliases nothing.
+// park retains a finalized trajectory in the memtable for re-append
+// after Heal; the caller holds sh.mu. geo is freshly allocated per trail
+// (PointKeysToGeo), so holding it aliases nothing.
 func (sh *shard) park(device string, geo []trajstore.GeoKey) {
 	sh.parked = append(sh.parked, parkedTrail{device: device, keys: geo})
 	sh.parkedN.Add(1)
+	sh.memKeys.Add(int64(len(geo)))
 }
 
 // drainParked re-appends the trails parked while degraded, oldest
 // first. A failure re-enters degraded mode (keeping the remainder
 // parked) so a premature Heal downgrades gracefully.
 func (sh *shard) drainParked() {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	for len(sh.parked) > 0 {
 		p := sh.parked[0]
 		if err := sh.appendGeo(p.device, p.keys); err != nil {
@@ -1072,6 +1108,7 @@ func (sh *shard) drainParked() {
 		sh.parked[0] = parkedTrail{} // release the drained trail's memory
 		sh.parked = sh.parked[1:]
 		sh.parkedN.Add(^uint64(0))
+		sh.memKeys.Add(-int64(len(p.keys)))
 		sh.persisted.Add(1)
 	}
 	sh.parked = nil
@@ -1081,8 +1118,10 @@ func (sh *shard) drainParked() {
 // retry loop: trajstore.TransientErr failures are retried up to
 // retry.Max times behind capped exponential backoff with jitter, and
 // the sleep aborts when Close begins. Terminal failures return
-// immediately. Blocking briefly here is fine — the worker owns its
-// queue, so backpressure propagates naturally to senders.
+// immediately. The caller holds sh.mu; it is released around each
+// backoff sleep (the trail is still in the memtable then) so queries
+// never wait out a retry. Blocking briefly here is fine — the worker
+// owns its queue, so backpressure propagates naturally to senders.
 func (sh *shard) appendGeo(device string, geo []trajstore.GeoKey) error {
 	e := sh.eng
 	for attempt := 0; ; attempt++ {
@@ -1098,11 +1137,14 @@ func (sh *shard) appendGeo(device string, geo []trajstore.GeoKey) error {
 		if err == nil || attempt >= e.retry.Max || !trajstore.TransientErr(err) {
 			return err
 		}
+		sh.mu.Unlock()
 		select {
 		case <-time.After(e.retry.backoff(attempt)):
 		case <-e.closing:
+			sh.mu.Lock()
 			return err
 		}
+		sh.mu.Lock()
 	}
 }
 
@@ -1130,14 +1172,16 @@ func (sh *shard) closeSession(device string, s *session) {
 	for _, kp := range stream.FlushAll(s.comp) {
 		sh.emit(device, s, kp)
 	}
+	sh.mu.Lock()
 	if sh.eng.persisting {
 		sh.persistTrail(device, s, true)
 	}
+	delete(sh.sessions, device)
+	sh.mu.Unlock()
 	if r, ok := s.comp.(stream.Resetter); ok {
 		r.Reset()
 		sh.eng.pool.Put(s.comp)
 	}
-	delete(sh.sessions, device)
 	sh.active.Add(-1)
 }
 

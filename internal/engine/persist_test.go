@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -302,6 +303,12 @@ func TestEnginePersistValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Compressor: "fbqs", Tolerance: 10, MaxTrailKeys: -3}); err == nil {
 		t.Fatal("negative MaxTrailKeys accepted")
+	}
+	// A durable engine keeps no merging store; merging is compaction's.
+	_, err := New(Config{Compressor: "fbqs", Tolerance: 10, Persister: &failingPersister{},
+		Store: trajstore.Config{MergeTolerance: 5}})
+	if err == nil || !strings.Contains(err.Error(), "MergeChunks") {
+		t.Fatalf("MergeTolerance beside a Persister: err = %v, want a rejection naming MergeChunks", err)
 	}
 }
 

@@ -35,48 +35,111 @@ func gridWalk(d, n int, rng *rand.Rand) []core.Point {
 	return pts
 }
 
-// pairSet reduces segments to a set of wire-resolution pair keys.
-func pairSet(segs []trajstore.Segment, m float64) map[pairKey]bool {
-	out := make(map[pairKey]bool, len(segs))
+// pairKey identifies one trajectory segment (a consecutive key-point
+// pair) at the wire format's resolution — 1e-7° coordinates, whole
+// seconds — which is exactly what survives the persist round trip, so a
+// memtable pair and its durable copy map to the same key.
+type pairKey [6]int64
+
+// quantT clamps a metric-plane timestamp to the wire format's uint32
+// seconds, matching trajstore.PointKeysToGeo.
+func quantT(t float64) int64 {
+	if t < 0 {
+		return 0
+	}
+	if t > math.MaxUint32 {
+		return math.MaxUint32
+	}
+	return int64(uint32(t))
+}
+
+// pairKeyOf quantizes a metric-plane segment. m is metres per degree.
+func pairKeyOf(a, b core.Point, m float64) pairKey {
+	return pairKey{
+		int64(math.Round(a.Y / m * 1e7)), int64(math.Round(a.X / m * 1e7)), quantT(a.T),
+		int64(math.Round(b.Y / m * 1e7)), int64(math.Round(b.X / m * 1e7)), quantT(b.T),
+	}
+}
+
+// pairCounts reduces segments to a multiset of wire-resolution pair
+// keys.
+func pairCounts(segs []trajstore.Segment, m float64) map[pairKey]int {
+	out := make(map[pairKey]int, len(segs))
 	for _, s := range segs {
-		out[pairKeyOf(s.A, s.B, m)] = true
+		out[pairKeyOf(s.A, s.B, m)]++
 	}
 	return out
 }
 
-// diffSets reports the asymmetric differences between two pair sets.
-func diffSets(a, b map[pairKey]bool) (onlyA, onlyB int) {
-	for k := range a {
-		if !b[k] {
-			onlyA++
-		}
+// addCounts returns the multiset sum of a and b.
+func addCounts(a, b map[pairKey]int) map[pairKey]int {
+	out := make(map[pairKey]int, len(a)+len(b))
+	for k, n := range a {
+		out[k] += n
 	}
-	for k := range b {
-		if !a[k] {
-			onlyB++
-		}
+	for k, n := range b {
+		out[k] += n
 	}
-	return onlyA, onlyB
+	return out
 }
 
-// durablePairSet derives the exact-filtered pair set from a raw log's
-// window query — the durable side of the differential comparison.
-func durablePairSet(t *testing.T, lg *segmentlog.Log, minX, minY, maxX, maxY float64, t0, t1 uint32, m float64) map[pairKey]bool {
+// diffCounts compares two pair multisets: missing counts occurrences in
+// want but not in got, extra the reverse.
+func diffCounts(want, got map[pairKey]int) (missing, extra int) {
+	for k, n := range want {
+		if d := n - got[k]; d > 0 {
+			missing += d
+		}
+	}
+	for k, n := range got {
+		if d := n - want[k]; d > 0 {
+			extra += d
+		}
+	}
+	return missing, extra
+}
+
+// total is the size of a pair multiset.
+func total(c map[pairKey]int) int {
+	n := 0
+	for _, v := range c {
+		n += v
+	}
+	return n
+}
+
+// durablePairs derives the exact-filtered pair multiset from a raw
+// log's window query — what the wire QueryWindow's records carry.
+func durablePairs(t *testing.T, lg trajstore.WindowQuerier, minX, minY, maxX, maxY float64, t0, t1 uint32, m float64) map[pairKey]int {
 	t.Helper()
 	recs, err := lg.QueryWindow(minX/m, minY/m, maxX/m, maxY/m, t0, t1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := make(map[pairKey]bool)
+	w := window{minX, minY, maxX, maxY, float64(t0), float64(t1)}
+	var segs []trajstore.Segment
 	for _, rec := range recs {
-		for i := 0; i+1 < len(rec.Keys); i++ {
-			a, b := geoPoint(rec.Keys[i], m), geoPoint(rec.Keys[i+1], m)
-			if pairInWindow(a, b, minX, minY, maxX, maxY, float64(t0), float64(t1)) {
-				out[pairKeyOf(a, b, m)] = true
-			}
-		}
+		segs = w.appendGeo(segs, rec.Keys, m)
 	}
-	return out
+	return pairCounts(segs, m)
+}
+
+// newTwin returns the oracle engine: non-persisting, with a
+// MergeTolerance-0 store that keeps every emitted pair verbatim. Fed the
+// same fixes (and the same session flushes) as a durable engine, its
+// store is the ground truth of what the durable engine must report.
+func newTwin(t *testing.T, shards int) *Engine {
+	t.Helper()
+	e, err := New(Config{Compressor: "fbqs", Tolerance: 5, Shards: shards, Store: trajstore.Config{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
+// twinWindow is the oracle's pair multiset for a window.
+func twinWindow(tw *Engine, minX, minY, maxX, maxY float64, t0, t1 uint32, m float64) map[pairKey]int {
+	return pairCounts(tw.Stores().QueryWindow(minX, minY, maxX, maxY, float64(t0), float64(t1)), m)
 }
 
 // diffWindows are the randomized-plus-corner windows of the
@@ -103,10 +166,11 @@ func diffWindows(rng *rand.Rand) [][6]float64 {
 
 // TestDifferentialWindowQueries is the ground-truth property test: on
 // a randomized multi-device fleet ingested with chunking, the durable
-// log's QueryWindow must return exactly the trajectory segments the
-// in-memory Store.Query ∩ QueryTime ground truth returns — at wire
-// resolution, across randomized windows, and again after
-// crash-recovery and after compaction.
+// log's QueryWindow must return exactly the trajectory segments an
+// independent oracle — a non-persisting twin engine fed the same fixes,
+// whose MergeTolerance-0 store keeps every pair — returns, as a
+// multiset at wire resolution, across randomized windows, and again
+// after crash-recovery and after compaction.
 func TestDifferentialWindowQueries(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	dir := t.TempDir()
@@ -121,11 +185,11 @@ func TestDifferentialWindowQueries(t *testing.T) {
 		Shards:       4,
 		MaxTrailKeys: 7, // force chunked records with the 1-key overlap
 		Persister:    lg,
-		Store:        trajstore.Config{}, // MergeTolerance 0: every pair stored verbatim
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	twin := newTwin(t, 4)
 
 	const devices, fixesPer = 12, 300
 	tracks := make([][]core.Point, devices)
@@ -140,19 +204,26 @@ func TestDifferentialWindowQueries(t *testing.T) {
 	}
 	for lo := 0; lo < len(fixes); lo += 512 {
 		hi := min(lo+512, len(fixes))
-		if err := e.Ingest(fixes[lo:hi]); err != nil {
+		for _, eng := range []*Engine{e, twin} {
+			if err := eng.Ingest(fixes[lo:hi]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, eng := range []*Engine{e, twin} {
+		if err := eng.Close(); err != nil { // flushes every session (to the log, for e)
 			t.Fatal(err)
 		}
 	}
-	if err := e.Close(); err != nil { // flushes every session to the log
-		t.Fatal(err)
+	if n := e.Stores().Len(); n != 0 {
+		t.Fatalf("durable engine fed its in-memory store: %d segments", n)
 	}
 
 	windows := diffWindows(rng)
-	truth := make([]map[pairKey]bool, len(windows))
+	truth := make([]map[pairKey]int, len(windows))
 	nonEmpty := 0
 	for i, w := range windows {
-		truth[i] = pairSet(e.Stores().QueryWindow(w[0], w[1], w[2], w[3], w[4], w[5]), m)
+		truth[i] = twinWindow(twin, w[0], w[1], w[2], w[3], uint32(w[4]), uint32(w[5]), m)
 		if len(truth[i]) > 0 {
 			nonEmpty++
 		}
@@ -164,10 +235,10 @@ func TestDifferentialWindowQueries(t *testing.T) {
 	compare := func(stage string, lg *segmentlog.Log) {
 		t.Helper()
 		for i, w := range windows {
-			got := durablePairSet(t, lg, w[0], w[1], w[2], w[3], uint32(w[4]), uint32(w[5]), m)
-			if onlyMem, onlyLog := diffSets(truth[i], got); onlyMem != 0 || onlyLog != 0 {
-				t.Fatalf("%s window %d: %d segments only in memory, %d only in log (truth %d)",
-					stage, i, onlyMem, onlyLog, len(truth[i]))
+			got := durablePairs(t, lg, w[0], w[1], w[2], w[3], uint32(w[4]), uint32(w[5]), m)
+			if missing, extra := diffCounts(truth[i], got); missing != 0 || extra != 0 {
+				t.Fatalf("%s window %d: %d oracle segments missing from the log, %d extra (oracle %d)",
+					stage, i, missing, extra, total(truth[i]))
 			}
 		}
 	}
@@ -256,9 +327,11 @@ func indexByte(s string, b byte) int {
 }
 
 // TestEngineQueryWindowMergesLiveAndDurable: one Engine.QueryWindow
-// call sees un-persisted session tails (live stores), persisted
-// history (durable log), and never double-reports a segment present in
-// both.
+// call sees un-persisted session trails (the memtable) and persisted
+// history (the durable log) as a disjoint union, checked against a
+// non-persisting twin engine. Re-ingesting a walk already in the log
+// reports it once per traversal — the multiset the wire QueryWindow's
+// records carry — rather than deduplicating the second traversal away.
 func TestEngineQueryWindowMergesLiveAndDurable(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	dir := t.TempDir()
@@ -279,86 +352,97 @@ func TestEngineQueryWindowMergesLiveAndDurable(t *testing.T) {
 		}
 		return e, lg
 	}
-	e, _ := newEngine()
 	track := gridWalk(0, 400, rng)
-	for i := range track {
-		if err := e.IngestOne("roamer", track[i]); err != nil {
-			t.Fatal(err)
+	ingest := func(engs ...*Engine) {
+		t.Helper()
+		for _, eng := range engs {
+			for i := range track {
+				if err := eng.IngestOne("roamer", track[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := eng.Sync(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if err := e.Sync(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Mid-session: nothing persisted yet, the live side answers alone.
-	all := func(e *Engine) []trajstore.Segment {
+	query := func(e *Engine, maxX float64) map[pairKey]int {
 		t.Helper()
-		segs, err := e.QueryWindow(-1e6, -1e6, 1e6, 1e6, 0, math.MaxUint32)
+		segs, err := e.QueryWindow(-1e6, -1e6, maxX, 1e6, 0, math.MaxUint32)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return segs
+		return pairCounts(segs, m)
 	}
-	liveOnly := all(e)
-	if len(liveOnly) == 0 {
-		t.Fatal("no live segments")
-	}
-	if n := len(pairSet(liveOnly, m)); n != len(liveOnly) {
-		t.Fatalf("live result has duplicate pairs: %d unique of %d", n, len(liveOnly))
+	expect := func(stage string, want, got map[pairKey]int) {
+		t.Helper()
+		if total(want) == 0 {
+			t.Fatalf("%s: empty oracle", stage)
+		}
+		if missing, extra := diffCounts(want, got); missing != 0 || extra != 0 {
+			t.Fatalf("%s: %d oracle segments missing, %d extra (oracle %d, got %d)",
+				stage, missing, extra, total(want), total(got))
+		}
 	}
 
-	// After a full flush the same segments are also durable. Close
-	// flushes the compressor, which may emit tail key points beyond the
-	// mid-session snapshot; the post-close stores are the ground truth.
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
+	// Mid-session: nothing persisted yet, the memtable answers alone.
+	e, _ := newEngine()
+	twin := newTwin(t, 2)
+	ingest(e, twin)
+	expect("memtable only", twinWindow(twin, -1e6, -1e6, 1e6, 1e6, 0, math.MaxUint32, m), query(e, 1e6))
+	if e.Stats().MemtableKeys == 0 {
+		t.Fatal("open session reports an empty memtable")
 	}
-	flushed := pairSet(e.Stores().QueryWindow(-1e6, -1e6, 1e6, 1e6, 0, math.MaxUint32), m)
-	if len(flushed) < len(liveOnly) {
-		t.Fatalf("post-close ground truth shrank: %d < %d", len(flushed), len(liveOnly))
-	}
-	e2, _ := newEngine()
-	// Restart: the stores are empty, history must come from the log.
-	fromLog := all(e2)
-	if onlyMem, onlyLog := diffSets(flushed, pairSet(fromLog, m)); onlyMem != 0 || onlyLog != 0 {
-		t.Fatalf("restarted engine durable view diverges: %d only in memory, %d only in log", onlyMem, onlyLog)
-	}
-	// Re-ingest the same walk: every pair is now both live and durable;
-	// dedup must keep the count stable.
-	for i := range track {
-		if err := e2.IngestOne("roamer", track[i]); err != nil {
+
+	// Close flushes the compressor (which may emit tail key points) and
+	// the trail into the log; a restarted engine serves it from disk.
+	for _, eng := range []*Engine{e, twin} {
+		if err := eng.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := e2.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	first := twinWindow(twin, -1e6, -1e6, 1e6, 1e6, 0, math.MaxUint32, m)
+	e2, lg2 := newEngine()
+	expect("restart, log only", first, query(e2, 1e6))
+
+	// Re-ingest the same walk: the second traversal sits in the memtable
+	// while the first is in the log; each is reported once.
+	twin2 := newTwin(t, 2)
+	ingest(e2, twin2)
 	if err := e2.EvictIdle(); err != nil { // IdleTimeout not elapsed: sessions stay
 		t.Fatal(err)
 	}
-	merged := all(e2)
-	if got, want := len(pairSet(merged, m)), len(flushed); got != want {
-		t.Fatalf("merged live+durable set has %d unique pairs, want %d", got, want)
-	}
-	if len(merged) != len(pairSet(merged, m)) {
-		t.Fatalf("merged result double-reports: %d rows, %d unique", len(merged), len(pairSet(merged, m)))
-	}
+	expect("log + memtable", addCounts(first, twinWindow(twin2, -1e6, -1e6, 1e6, 1e6, 0, math.MaxUint32, m)), query(e2, 1e6))
 
-	// A spatial sub-window agrees with the in-memory ground truth.
+	// A spatial sub-window agrees with the oracle too.
 	xs := make([]float64, 0, len(track))
 	for _, p := range track {
 		xs = append(xs, p.X)
 	}
 	sort.Float64s(xs)
 	midX := xs[len(xs)/2] + 0.005
-	sub, err := e2.QueryWindow(-1e6, -1e6, midX, 1e6, 0, math.MaxUint32)
-	if err != nil {
+	expect("sub-window", addCounts(
+		twinWindow(twin, -1e6, -1e6, midX, 1e6, 0, math.MaxUint32, m),
+		twinWindow(twin2, -1e6, -1e6, midX, 1e6, 0, math.MaxUint32, m)), query(e2, midX))
+
+	// Flush the second traversal: both now come from the log, and the
+	// engine's answer matches the raw log's (the wire QueryWindow).
+	if err := e2.FlushSessions(); err != nil {
 		t.Fatal(err)
 	}
-	wantSub := pairSet(e2.Stores().QueryWindow(-1e6, -1e6, midX, 1e6, 0, math.MaxUint32), m)
-	if onlyMem, onlyMerged := diffSets(wantSub, pairSet(sub, m)); onlyMem != 0 || onlyMerged != 0 {
-		t.Fatalf("sub-window merge diverges: %d only in memory, %d extra", onlyMem, onlyMerged)
+	if err := e2.Sync(); err != nil {
+		t.Fatal(err)
 	}
+	if err := twin2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	both := addCounts(first, twinWindow(twin2, -1e6, -1e6, 1e6, 1e6, 0, math.MaxUint32, m))
+	expect("both flushed", both, query(e2, 1e6))
+	expect("wire view", both, durablePairs(t, lg2, -1e6, -1e6, 1e6, 1e6, 0, math.MaxUint32, m))
+	if n := e2.Stats().MemtableKeys; n != 0 {
+		t.Fatalf("memtable holds %d keys after FlushSessions+Sync", n)
+	}
+
 	if err := e2.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -65,12 +65,12 @@ func metricFamily(b *strings.Builder, name, typ, help string, ts []tenantMetrics
 
 // MetricsHandler serves the server's internals in the Prometheus text
 // format: per tenant, the ingest counters (fixes, key points,
-// rejections), session lifecycle, queue occupancy, persist/compact
-// failure tallies and compaction reclaim, the read-side cache
-// (hits/misses/evictions/size), and the segment log's shape
-// (segments, records, bytes, generation). Scraping is safe at any
-// time, including during Shutdown — each number is an atomic or
-// mutex-guarded snapshot read.
+// rejections), session lifecycle, the memtable's unpersisted key count,
+// queue occupancy, persist/compact failure tallies and compaction
+// reclaim, the read-side cache (hits/misses/evictions/size), and the
+// segment log's shape (segments, records, bytes, generation). Scraping
+// is safe at any time, including during Shutdown — each number is an
+// atomic or mutex-guarded snapshot read.
 func (s *Server) MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		ts := s.snapshotMetrics()
@@ -94,6 +94,8 @@ func (s *Server) MetricsHandler() http.Handler {
 			func(t *tenantMetrics) interface{} { return t.eng.Persisted })
 		f("bqs_parked_trails", "gauge", "Trajectories parked in memory by degraded mode, awaiting heal.",
 			func(t *tenantMetrics) interface{} { return t.eng.ParkedTrails })
+		f("bqs_memtable_keys", "gauge", "Unpersisted key points held in memory: open session trails plus parked trails.",
+			func(t *tenantMetrics) interface{} { return t.eng.MemtableKeys })
 		f("bqs_persist_failures_total", "counter", "Failed persister append/sync attempts, retried ones included.",
 			func(t *tenantMetrics) interface{} { return t.eng.PersistFailures })
 		f("bqs_compact_failures_total", "counter", "Failed compaction passes.",

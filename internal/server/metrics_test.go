@@ -116,6 +116,48 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsMemtableKeys checks the bqs_memtable_keys gauge at the
+// wire: open sessions hold their unpersisted trails in memory, so the
+// gauge is positive after a plain sync, and a flushing sync moves every
+// trail into the log, returning it to 0 round after round.
+func TestMetricsMemtableKeys(t *testing.T) {
+	srv, addr := startServer(t, Config{
+		Dir:    t.TempDir(),
+		Engine: engine.Config{Tolerance: 2, Shards: 2},
+	})
+	c, err := Dial(addr, "fleet")
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer c.Close()
+	const devices, perDevice = 4, 90
+	for round := 0; round < 3; round++ {
+		batches := make([]proto.DeviceBatch, 0, devices)
+		for d := 0; d < devices; d++ {
+			keys := track(d, perDevice)
+			for i := range keys {
+				keys[i].T += uint32(round * 10000)
+			}
+			batches = append(batches, proto.DeviceBatch{Device: fmt.Sprintf("dev-%03d", d), Keys: keys})
+		}
+		if _, err := c.IngestAll(batches, 20); err != nil {
+			t.Fatalf("IngestAll: %v", err)
+		}
+		if err := c.Sync(false); err != nil {
+			t.Fatalf("Sync: %v", err)
+		}
+		if v := metricValue(t, scrape(t, srv), "bqs_memtable_keys", "fleet"); v <= 0 {
+			t.Fatalf("round %d: bqs_memtable_keys = %v with open sessions, want > 0", round, v)
+		}
+		if err := c.Sync(true); err != nil {
+			t.Fatalf("Sync(flush): %v", err)
+		}
+		if v := metricValue(t, scrape(t, srv), "bqs_memtable_keys", "fleet"); v != 0 {
+			t.Fatalf("round %d: bqs_memtable_keys = %v after a flushing sync, want 0", round, v)
+		}
+	}
+}
+
 // TestMetricsLabelEscaping: the family renderer escapes
 // exposition-hostile label characters. Tenant-name validation makes
 // these unreachable over the wire today, but the renderer must not

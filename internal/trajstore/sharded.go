@@ -42,8 +42,10 @@ func (st *Store) Snapshot() Stats {
 //
 // The embedded persistHolder optionally attaches a Persister: the
 // ingestion engine calls Persist with every finalized session trajectory
-// and SyncPersist as its durability barrier, so the in-memory stores and
-// the on-disk log stay behind one storage object.
+// and SyncPersist as its durability barrier. A durable engine never
+// inserts into the stores — its memory holds only unpersisted trails —
+// so with a Persister attached the shards stay empty and the Sharded
+// value is the engine's handle on the log.
 type Sharded struct {
 	persistHolder
 	shards []*Store

@@ -30,8 +30,8 @@ func NewStore(cfg StoreConfig) (*Store, error) { return trajstore.NewStore(cfg) 
 type StoreStats = trajstore.Stats
 
 // ShardedStore is a fixed set of independent Stores with fan-out queries
-// and merged stats — the storage layer behind the ingestion Engine
-// (Engine.Stores returns one).
+// and merged stats — the storage layer behind a non-persisting ingestion
+// Engine (Engine.Stores returns one; a durable engine's stays empty).
 type ShardedStore = trajstore.Sharded
 
 // NewShardedStore returns n independent stores built from one config.
