@@ -241,12 +241,12 @@ func (l *Log) Compact(p CompactionPolicy) (CompactionResult, error) {
 	sealed := append([]segmentFile(nil), l.segs[:nSealed]...)
 	perDev := make(map[string][]devRef)
 	for si := 0; si < nSealed; si++ {
-		for _, rm := range l.segRecs[si] {
+		for _, rm := range l.segRecs[si].metas {
 			perDev[rm.device] = append(perDev[rm.device], devRef{
 				seg: si, off: rm.off, bodyLen: rm.bodyLen, t0: rm.t0, t1: rm.t1,
 			})
 		}
-		res.RecordsIn += len(l.segRecs[si])
+		res.RecordsIn += len(l.segRecs[si].metas)
 	}
 	l.mu.Unlock()
 	upgrade := false
@@ -383,7 +383,7 @@ func (l *Log) Compact(p CompactionPolicy) (CompactionResult, error) {
 	tailRecs := l.segRecs[S:]
 	tailOnlyActive := len(tail) == 1
 	combined := append(append([]segmentFile(nil), newSegs...), tail...)
-	combinedRecs := append(append([][]recordMeta(nil), newRecs...), tailRecs...)
+	combinedRecs := append(append([]segRecords(nil), newRecs...), tailRecs...)
 	if err := writeManifest(l.fs, l.dir, manifest{Gen: l.gen + 1, Segs: manifestSegs(combined)}); err != nil {
 		l.mu.Unlock()
 		return res, err
@@ -670,8 +670,8 @@ func ageKeys(keys []trajstore.GeoKey, t1, cutoff uint32, p CompactionPolicy) ([]
 type compactWriter struct {
 	l       *Log
 	segs    []segmentFile
-	segRecs [][]recordMeta
-	cur     []recordMeta
+	segRecs []segRecords
+	cur     segRecords
 	f       vfs.File
 	off     int64
 	buf     []byte
@@ -695,15 +695,13 @@ func (w *compactWriter) closeCurrent() error {
 		return err
 	}
 	w.f = nil
-	if err := writeBlockIndex(w.l.fs, s.path, s.size, s.ver, w.cur); err != nil {
+	if err := writeBlockIndex(w.l.fs, s.path, s.size, s.ver, w.cur.metas); err != nil {
 		return err
 	}
 	s.idx = true
-	for _, m := range w.cur {
-		s.sum.add(m)
-	}
+	s.sum = summarize(w.cur.metas)
 	w.segRecs = append(w.segRecs, w.cur)
-	w.cur = nil
+	w.cur = segRecords{}
 	return nil
 }
 
@@ -743,7 +741,7 @@ func (w *compactWriter) add(r compactRecord) error {
 		w.closeCurrent()
 		return fmt.Errorf("segmentlog: compact: %w", err)
 	}
-	w.cur = append(w.cur, recordMeta{
+	w.cur.add(recordMeta{
 		device:  r.device,
 		off:     w.off + recordHeaderSize,
 		bodyLen: len(w.buf) - recordHeaderSize,
@@ -757,7 +755,7 @@ func (w *compactWriter) add(r compactRecord) error {
 }
 
 // finish seals the last segment and makes the output set durable.
-func (w *compactWriter) finish() ([]segmentFile, [][]recordMeta, error) {
+func (w *compactWriter) finish() ([]segmentFile, []segRecords, error) {
 	if err := w.closeCurrent(); err != nil {
 		return nil, nil, err
 	}
@@ -783,5 +781,5 @@ func (w *compactWriter) discard() {
 			w.l.fs.Remove(ip)
 		}
 	}
-	w.segs, w.segRecs, w.cur = nil, nil, nil
+	w.segs, w.segRecs, w.cur = nil, nil, segRecords{}
 }

@@ -264,7 +264,7 @@ type Log struct {
 	gen     uint64 // last manifest generation written (or read, in RO mode)
 	nextSeq uint64 // next segment file number to allocate
 	segs    []segmentFile
-	segRecs [][]recordMeta          // parallel to segs: record metadata in file order (nil while a segment is lazy)
+	segRecs []segRecords            // parallel to segs: record metadata in file order (empty while a segment is lazy)
 	index   map[string][]recordAddr // device → records, append order; stale while indexDirty
 	// indexDirty is set while at least one lazily deferred segment has
 	// not been folded into the per-device index. Per-device paths call
@@ -314,11 +314,11 @@ func (l *Log) compactLiveAdd(n int) {
 }
 
 // addRecordLocked indexes one record of segment slot seg: the segment's
-// meta list, the per-device index and the segment summary all advance
-// together. Callers hold mu (or are inside Open).
+// meta list and block summaries, the per-device index and the segment
+// summary all advance together. Callers hold mu (or are inside Open).
 func (l *Log) addRecordLocked(seg int, m recordMeta) {
-	l.index[m.device] = append(l.index[m.device], recordAddr{seg: int32(seg), pos: int32(len(l.segRecs[seg]))})
-	l.segRecs[seg] = append(l.segRecs[seg], m)
+	l.index[m.device] = append(l.index[m.device], recordAddr{seg: int32(seg), pos: int32(len(l.segRecs[seg].metas))})
+	l.segRecs[seg].add(m)
 	l.segs[seg].sum.add(m)
 	l.stats.Records++
 }
@@ -331,11 +331,12 @@ func (l *Log) rebuildIndexLocked() {
 	idx := make(map[string][]recordAddr, len(l.index))
 	records := 0
 	for si := range l.segRecs {
-		for pi := range l.segRecs[si] {
-			dev := l.segRecs[si][pi].device
+		metas := l.segRecs[si].metas
+		for pi := range metas {
+			dev := metas[pi].device
 			idx[dev] = append(idx[dev], recordAddr{seg: int32(si), pos: int32(pi)})
 		}
-		records += len(l.segRecs[si])
+		records += len(metas)
 	}
 	l.index = idx
 	l.stats.Records = records
@@ -475,7 +476,7 @@ func open(dir string, opts Options, takeLock bool) (*Log, error) {
 			return nil, err
 		}
 		l.segs = append(l.segs, seg)
-		l.segRecs = append(l.segRecs, nil)
+		l.segRecs = append(l.segRecs, segRecords{})
 		l.active = f
 		l.off = headerSize
 		l.stats.Bytes += headerSize
@@ -488,7 +489,7 @@ func open(dir string, opts Options, takeLock bool) (*Log, error) {
 			return nil, err
 		}
 		l.segs = append(l.segs, seg)
-		l.segRecs = append(l.segRecs, nil)
+		l.segRecs = append(l.segRecs, segRecords{})
 		l.active = f
 		l.off = headerSize
 		l.stats.Bytes += headerSize
@@ -541,7 +542,7 @@ func (l *Log) loadSegment(path string, ent manifestSeg, final bool) error {
 			l.segs = append(l.segs, segmentFile{
 				path: path, size: fi.Size(), idx: true, lazy: true, sum: *ent.Sum,
 			})
-			l.segRecs = append(l.segRecs, nil)
+			l.segRecs = append(l.segRecs, segRecords{})
 			l.stats.Bytes += fi.Size()
 			l.stats.Records += ent.Sum.records
 			l.indexDirty = true
@@ -557,7 +558,7 @@ func (l *Log) loadSegment(path string, ent manifestSeg, final bool) error {
 	if !l.ro && !final {
 		s := &l.segs[len(l.segs)-1]
 		if s.ver == version {
-			if err := writeBlockIndex(l.fs, s.path, s.size, s.ver, l.segRecs[len(l.segs)-1]); err == nil {
+			if err := writeBlockIndex(l.fs, s.path, s.size, s.ver, l.segRecs[len(l.segs)-1].metas); err == nil {
 				s.idx = true
 			}
 		}
@@ -572,10 +573,7 @@ func (l *Log) loadSegment(path string, ent manifestSeg, final bool) error {
 // diverges (a stale file from an earlier life of this sequence number,
 // a crafted CRC collision) is rejected.
 func sumMatches(metas []recordMeta, want segSummary) bool {
-	var sum segSummary
-	for _, m := range metas {
-		sum.add(m)
-	}
+	sum := summarize(metas)
 	if !sum.bbAll {
 		sum.bb = emptyBBox() // the manifest omits a partial union
 	}
@@ -596,10 +594,7 @@ func (l *Log) tryLoadIndex(path string, ent manifestSeg) bool {
 	}
 	seg := len(l.segs)
 	l.segs = append(l.segs, segmentFile{path: path, size: size, ver: ver, idx: true})
-	l.segRecs = append(l.segRecs, nil)
-	if len(metas) > 0 {
-		l.segRecs[seg] = make([]recordMeta, 0, len(metas))
-	}
+	l.segRecs = append(l.segRecs, segRecords{metas: make([]recordMeta, 0, len(metas))})
 	for _, m := range metas {
 		l.addRecordLocked(seg, m)
 	}
@@ -630,17 +625,13 @@ func (l *Log) ensureSegLoadedLocked(si int) error {
 	// a torn-tail truncation in the fallback scan may have salvaged
 	// fewer records than the manifest summary credited at Open.
 	l.stats.Records += len(metas) - int(s.sum.records)
-	var sum segSummary
-	for _, m := range metas {
-		sum.add(m)
-	}
 	l.stats.Bytes += size - s.size
-	s.sum = sum
+	s.sum = summarize(metas)
 	s.size = size
 	s.ver = ver
 	s.idx = idxOK
 	s.lazy = false
-	l.segRecs[si] = metas
+	l.segRecs[si].set(metas)
 	l.indexDirty = true
 	return nil
 }
@@ -875,7 +866,7 @@ func (l *Log) scanSegment(path string, final bool) error {
 		// header; rewrite it as empty rather than failing the open.
 		if l.ro {
 			l.segs = append(l.segs, segmentFile{path: path, size: int64(len(data)), ver: version})
-			l.segRecs = append(l.segRecs, nil)
+			l.segRecs = append(l.segRecs, segRecords{})
 			l.stats.Truncated += int64(len(data))
 			return nil
 		}
@@ -893,7 +884,7 @@ func (l *Log) scanSegment(path string, final bool) error {
 	}
 	segIdx := len(l.segs)
 	l.segs = append(l.segs, segmentFile{path: path, ver: ver})
-	l.segRecs = append(l.segRecs, nil)
+	l.segRecs = append(l.segRecs, segRecords{})
 	valid := int64(headerSize)
 	pos := headerSize
 	for {
@@ -1086,7 +1077,7 @@ func (l *Log) rewriteEmpty(path string) error {
 		return err
 	}
 	l.segs = append(l.segs, segmentFile{path: path, size: headerSize, ver: version})
-	l.segRecs = append(l.segRecs, nil)
+	l.segRecs = append(l.segRecs, segRecords{})
 	l.stats.Bytes += headerSize
 	return nil
 }
@@ -1247,18 +1238,15 @@ func (l *Log) poisonLocked(cause error) {
 	// Sync and flush always cover whole records, so the watermark is a
 	// record boundary: a meta either starts below it (durable) or at/
 	// above it (at risk) — never straddles.
-	recs := l.segRecs[cur]
-	keep := len(recs)
-	for keep > 0 && recs[keep-1].off-recordHeaderSize >= l.syncedOff {
+	recs := &l.segRecs[cur]
+	keep := len(recs.metas)
+	for keep > 0 && recs.metas[keep-1].off-recordHeaderSize >= l.syncedOff {
 		keep--
 	}
-	l.atRisk = append(l.atRisk[:0], recs[keep:]...)
-	l.segRecs[cur] = recs[:keep]
+	l.atRisk = append(l.atRisk[:0], recs.metas[keep:]...)
+	recs.truncate(keep)
 	l.segs[cur].size = l.syncedOff
-	l.segs[cur].sum = segSummary{bb: emptyBBox()}
-	for _, m := range l.segRecs[cur] {
-		l.segs[cur].sum.add(m)
-	}
+	l.segs[cur].sum = summarize(recs.metas)
 	// Withdraw the at-risk records from the per-device index. They are
 	// the newest entries of their devices (appends only extend the
 	// active tail), so popping each device's list tail — newest first —
@@ -1316,7 +1304,7 @@ func (l *Log) healLocked() error {
 		prevSeg, prevRecs := l.segs[cur], l.segRecs[cur]
 		dropPath = prevSeg.path
 		l.segs[cur] = seg
-		l.segRecs[cur] = nil
+		l.segRecs[cur] = segRecords{}
 		if err := l.writeManifestLocked(); err != nil {
 			// Without the publish the heal has not happened: a crash now
 			// must land on the old generation. The salvage file is left
@@ -1340,13 +1328,13 @@ func (l *Log) healLocked() error {
 		}
 		sealedIdx := false
 		if l.segs[cur].ver == version {
-			if err := writeBlockIndex(l.fs, l.segs[cur].path, l.syncedOff, l.segs[cur].ver, l.segRecs[cur]); err == nil {
+			if err := writeBlockIndex(l.fs, l.segs[cur].path, l.syncedOff, l.segs[cur].ver, l.segRecs[cur].metas); err == nil {
 				sealedIdx = true
 			}
 		}
 		l.segs[cur].idx = sealedIdx
 		l.segs = append(l.segs, seg)
-		l.segRecs = append(l.segRecs, nil)
+		l.segRecs = append(l.segRecs, segRecords{})
 		if err := l.writeManifestLocked(); err != nil {
 			l.segs = l.segs[:len(l.segs)-1]
 			l.segRecs = l.segRecs[:len(l.segRecs)-1]
@@ -1429,7 +1417,7 @@ func (l *Log) rotateLocked() error {
 	cur := len(l.segs) - 1
 	sealedIdx := false
 	if l.segs[cur].ver == version {
-		if err := writeBlockIndex(l.fs, l.segs[cur].path, l.off, l.segs[cur].ver, l.segRecs[cur]); err == nil {
+		if err := writeBlockIndex(l.fs, l.segs[cur].path, l.off, l.segs[cur].ver, l.segRecs[cur].metas); err == nil {
 			sealedIdx = true
 		}
 	}
@@ -1439,7 +1427,7 @@ func (l *Log) rotateLocked() error {
 	}
 	l.segs[cur].idx = sealedIdx
 	l.segs = append(l.segs, seg)
-	l.segRecs = append(l.segRecs, nil)
+	l.segRecs = append(l.segRecs, segRecords{})
 	if err := l.writeManifestLocked(); err != nil {
 		// Unpublishable: keep appending to the old segment. The new
 		// (empty) file is left on disk — the write may have reached the
@@ -1603,7 +1591,7 @@ func (l *Log) DeviceSpan(device string) (records int, t0, t1 uint32, ok bool) {
 }
 
 // metaAt resolves a record address. Callers hold mu.
-func (l *Log) metaAt(a recordAddr) *recordMeta { return &l.segRecs[a.seg][a.pos] }
+func (l *Log) metaAt(a recordAddr) *recordMeta { return &l.segRecs[a.seg].metas[a.pos] }
 
 // Query returns the decoded trajectories of device whose time bounds
 // overlap [t0, t1], in append order. Records are read back from disk and

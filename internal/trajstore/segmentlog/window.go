@@ -1,10 +1,12 @@
 // Spatio-temporal window queries over the durable log. QueryWindow is
 // the cross-device counterpart of the per-device Query: it returns
 // every record whose trajectory actually enters an axis-aligned window
-// during a time range, pruning with two metadata tiers before touching
-// any payload — per-segment summaries (the manifest-level bbox/time
-// union of a whole file) and per-record bounding boxes (from the block
-// index / v2 record headers). The bounding structures only ever prune:
+// during a time range, pruning with three metadata tiers before
+// touching any payload — per-segment summaries (the manifest-level
+// bbox/time union of a whole file), in-memory block summaries (the same
+// union over each run of blockRecs consecutive records) and per-record
+// bounding boxes (from the block index / v2 record headers). The
+// bounding structures only ever prune:
 // a candidate record is decoded and tested exactly, so indexed and
 // fallback (pre-index, legacy v1) paths return identical results.
 package segmentlog
@@ -74,11 +76,12 @@ func keysBBox(keys []trajstore.GeoKey) bbox {
 	return bb
 }
 
-// segSummary is the per-segment metadata union used for segment-level
-// pruning: the time bounds and bounding box of every record in the
-// file. It is maintained incrementally on append, rebuilt from the
-// block index or scan on Open, and published in the MANIFEST for
-// sealed segments.
+// segSummary is the metadata union of a run of records: the time
+// bounds and bounding box of every record in it. One per segment drives
+// segment-level pruning — maintained incrementally on append, rebuilt
+// from the block index or scan on Open, and published in the MANIFEST
+// for sealed segments — and one per block of blockRecs records drives
+// block-level pruning (see segRecords).
 type segSummary struct {
 	records int
 	t0, t1  uint32 // union of record time bounds; valid when records > 0
@@ -108,18 +111,91 @@ func (s *segSummary) add(m recordMeta) {
 	s.records++
 }
 
+// summarize folds a run of record metadata into its summary.
+func summarize(metas []recordMeta) segSummary {
+	var sum segSummary
+	for _, m := range metas {
+		sum.add(m)
+	}
+	return sum
+}
+
+// blockRecs is the number of consecutive records one block summary
+// covers: large enough that the summaries cost under a byte per record,
+// small enough that a time- or space-selective window skips most of a
+// large segment in runs.
+const blockRecs = 64
+
+// segRecords is one segment's per-record metadata in file order
+// together with its block summaries: blocks[b] is exactly the summary
+// of metas[b·blockRecs : (b+1)·blockRecs]. Every change to a segment's
+// records goes through add, truncate or set, so the summaries never go
+// stale. They are memory-only: derived from the metadata, never
+// persisted. The zero value is an empty (or not yet loaded) segment.
+type segRecords struct {
+	metas  []recordMeta
+	blocks []segSummary
+}
+
+// add appends one record, extending the last block or opening a new
+// one: O(1).
+func (r *segRecords) add(m recordMeta) {
+	if len(r.metas)%blockRecs == 0 {
+		r.blocks = append(r.blocks, segSummary{})
+	}
+	r.metas = append(r.metas, m)
+	r.blocks[len(r.blocks)-1].add(m)
+}
+
+// truncate keeps the first n records; a block the cut splits is
+// re-summarized from its surviving records.
+func (r *segRecords) truncate(n int) {
+	r.metas = r.metas[:n]
+	r.blocks = r.blocks[:(n+blockRecs-1)/blockRecs]
+	if tail := n % blockRecs; tail != 0 {
+		r.blocks[len(r.blocks)-1] = summarize(r.metas[n-tail:])
+	}
+}
+
+// set replaces the records wholesale (a lazy segment's load) and
+// summarizes every block.
+func (r *segRecords) set(metas []recordMeta) {
+	r.metas = metas
+	r.blocks = make([]segSummary, 0, (len(metas)+blockRecs-1)/blockRecs)
+	for lo := 0; lo < len(metas); lo += blockRecs {
+		r.blocks = append(r.blocks, summarize(metas[lo:min(lo+blockRecs, len(metas))]))
+	}
+}
+
+// prunes reports whether the summary rules out every record it covers
+// for the window: all fall outside the time range, or all carry a box
+// and their union misses the area.
+func (s *segSummary) prunes(minX, minY, maxX, maxY float64, t0, t1 uint32) bool {
+	return s.records == 0 || s.t0 > t1 || s.t1 < t0 ||
+		(s.bbAll && !s.bb.intersects(minX, minY, maxX, maxY))
+}
+
 // WindowStats reports how a window query was answered: how much the
-// two pruning tiers saved and how many records had to be decoded. The
-// selectivity win of the block index is RecordsDecoded versus the
+// three pruning tiers saved and how many records had to be decoded.
+// The selectivity win of the block index is RecordsDecoded versus the
 // total record count a full scan would decode.
 type WindowStats struct {
 	Segments       int // segments in the snapshot
 	SegmentsPruned int // skipped whole via segment summaries
-	RecordsIndexed int // records whose metadata was examined
-	RecordsPruned  int // records skipped via per-record bbox/time bounds
-	RecordsDecoded int // candidate records read and decoded from disk
-	RecordsMatched int // records returned
-	CacheHits      int // candidate records served from the read cache (not decoded)
+	// RecordsIndexed counts the records of every segment that survived
+	// segment pruning, whether their block summary or their own
+	// metadata ruled them out.
+	RecordsIndexed int
+	// RecordsPruned counts the records of RecordsIndexed skipped without
+	// a read: by their block summary or their own bbox/time bounds.
+	RecordsPruned int
+	// RecordsBlockPruned is the part of RecordsPruned skipped whole with
+	// their block of blockRecs records; their own metadata was never
+	// examined.
+	RecordsBlockPruned int
+	RecordsDecoded     int // candidate records read and decoded from disk
+	RecordsMatched     int // records returned
+	CacheHits          int // candidate records served from the read cache (not decoded)
 }
 
 // windowMatch is the exact predicate: the polyline has at least one
@@ -160,12 +236,12 @@ func windowMatch(keys []trajstore.GeoKey, minX, minY, maxX, maxY float64, t0, t1
 // order — that enter the window [minX, maxX] × [minY, maxY] (degrees:
 // X longitude, Y latitude) during [t0, t1]: records with at least one
 // consecutive key-point pair whose bounding box intersects the window
-// and whose time span overlaps the range. Segment summaries and
-// per-record bounding boxes prune the candidate set; candidates are
-// decoded and tested exactly, so legacy (pre-index) segments answer
-// identically through the decode-everything fallback. Like Query, a
-// call racing a concurrent compaction transparently retries against
-// the newly published generation.
+// and whose time span overlaps the range. Segment summaries, block
+// summaries and per-record bounding boxes prune the candidate set;
+// candidates are decoded and tested exactly, so legacy (pre-index)
+// segments answer identically through the decode-everything fallback.
+// Like Query, a call racing a concurrent compaction transparently
+// retries against the newly published generation.
 func (l *Log) QueryWindow(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]Record, error) {
 	recs, _, err := l.QueryWindowStats(minX, minY, maxX, maxY, t0, t1)
 	return recs, err
@@ -255,10 +331,7 @@ func (l *Log) snapshotWindow(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]r
 	var cands []refSnap
 	ws.Segments = len(l.segs)
 	for si := range l.segs {
-		sum := &l.segs[si].sum
-		if sum.records == 0 ||
-			sum.t0 > t1 || sum.t1 < t0 ||
-			(sum.bbAll && !sum.bb.intersects(minX, minY, maxX, maxY)) {
+		if l.segs[si].sum.prunes(minX, minY, maxX, maxY, t0, t1) {
 			ws.SegmentsPruned++
 			continue
 		}
@@ -268,14 +341,24 @@ func (l *Log) snapshotWindow(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]r
 		if err := l.ensureSegLoadedLocked(si); err != nil {
 			return nil, nil, 0, ws, err
 		}
-		for pi := range l.segRecs[si] {
-			m := &l.segRecs[si][pi]
-			ws.RecordsIndexed++
-			if m.t0 > t1 || m.t1 < t0 || (m.hasBB && !m.bb.intersects(minX, minY, maxX, maxY)) {
-				ws.RecordsPruned++
+		recs := &l.segRecs[si]
+		for bi := range recs.blocks {
+			lo := bi * blockRecs
+			metas := recs.metas[lo:min(lo+blockRecs, len(recs.metas))]
+			ws.RecordsIndexed += len(metas)
+			if recs.blocks[bi].prunes(minX, minY, maxX, maxY, t0, t1) {
+				ws.RecordsPruned += len(metas)
+				ws.RecordsBlockPruned += len(metas)
 				continue
 			}
-			cands = append(cands, refSnap{seg: si, off: m.off, bodyLen: m.bodyLen})
+			for pi := range metas {
+				m := &metas[pi]
+				if m.t0 > t1 || m.t1 < t0 || (m.hasBB && !m.bb.intersects(minX, minY, maxX, maxY)) {
+					ws.RecordsPruned++
+					continue
+				}
+				cands = append(cands, refSnap{seg: si, off: m.off, bodyLen: m.bodyLen})
+			}
 		}
 	}
 	segs := make([]segSnap, len(l.segs))

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"github.com/trajcomp/bqs/internal/trajstore"
 )
 
 // benchWindowLog builds the window-query benchmark fixture: 50 devices
@@ -123,3 +125,62 @@ func BenchmarkQueryWindowCold(b *testing.B) { benchWindowCached(b, 0, false) }
 // BenchmarkQueryWindowCached: the same query with a warm 16 MiB record
 // cache — every record serves from memory (asserted: zero decodes).
 func BenchmarkQueryWindowCached(b *testing.B) { benchWindowCached(b, 16<<20, true) }
+
+// BenchmarkQueryWindowLargeActive is the shape block summaries exist
+// for: one active segment — no segment-level pruning possible — holding
+// 200 time-ordered rounds of 250 devices (50k records, one per device
+// per one-minute round), queried with a 10-minute, ~500 m window. Block
+// summaries must skip at least 80% of the records whole (asserted);
+// only the rest have their own metadata examined.
+func BenchmarkQueryWindowLargeActive(b *testing.B) {
+	const devices, rounds = 250, 200
+	l, err := Open(b.TempDir(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { l.Close() })
+	// Device d parks in its own cell of a 16-wide grid (0.01° ≈ 1.1 km
+	// apart) and drifts about 1 m per round.
+	keys := make([]trajstore.GeoKey, 8)
+	for r := 0; r < rounds; r++ {
+		for d := 0; d < devices; d++ {
+			lat0 := float64(d/16)*0.01 + float64(r)*1e-5
+			lon0 := float64(d%16)*0.01 + float64(r)*1e-5
+			for i := range keys {
+				keys[i] = trajstore.GeoKey{
+					Lat: math.Round((lat0+float64(i)*1e-5)*1e7) / 1e7,
+					Lon: math.Round((lon0+float64(i)*1e-5)*1e7) / 1e7,
+					T:   uint32(60*r + 7*i),
+				}
+			}
+			if err := l.Append(fmt.Sprintf("dev-%03d", d), keys); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if s := l.Stats(); s.Segments != 1 || s.Records != devices*rounds {
+		b.Fatalf("fixture is not one active segment of %d records: %+v", devices*rounds, s)
+	}
+	// Rounds 100–109 around device 37's cell (≈ 500 m across).
+	const lat, lon, half = 0.02, 0.05, 0.00225
+	var ws WindowStats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, s, err := l.QueryWindowStats(lon-half, lat-half, lon+half, lat+half, 60*100, 60*110-1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ws = s
+	}
+	b.StopTimer()
+	frac := float64(ws.RecordsBlockPruned) / float64(ws.RecordsIndexed)
+	b.ReportMetric(frac, "block-pruned-frac")
+	b.ReportMetric(float64(ws.RecordsMatched), "matched/op")
+	if ws.RecordsMatched == 0 {
+		b.Fatalf("window matched nothing: %+v", ws)
+	}
+	if frac < 0.8 {
+		b.Fatalf("block summaries skipped %d of %d records (%.1f%%), want ≥ 80%%",
+			ws.RecordsBlockPruned, ws.RecordsIndexed, 100*frac)
+	}
+}

@@ -1,7 +1,9 @@
 package segmentlog
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -436,4 +438,324 @@ func TestQueryWindowConcurrent(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
+}
+
+// Block-summary lifecycle tests. Each builds segments whose record
+// counts straddle blockRecs boundaries, drives one way of changing a
+// segment's records, and then asserts two things: every in-memory block
+// summary is exactly the summary of its run of records (blocksExact),
+// and every window answers exactly like the brute-force oracle
+// (checkWindow), which reads through the per-device index and never
+// consults a summary.
+
+// blockKeys builds record i of the block fixture: device (i/32)%4, so a
+// block of 64 records holds two devices' runs, with time bounds that
+// grow with i (record i spans about [1000+100·i, 1012+100·i]).
+func blockKeys(i int) (string, []trajstore.GeoKey) {
+	d := (i / 32) % 4
+	return fmt.Sprintf("dev-%03d", d), cellKeys(d, i, 6)
+}
+
+// blockFill appends records [from, to) of the block fixture.
+func blockFill(t *testing.T, l *Log, from, to int) {
+	t.Helper()
+	for i := from; i < to; i++ {
+		dev, keys := blockKeys(i)
+		if err := l.Append(dev, keys); err != nil {
+			t.Fatalf("append %d: %v", i, err)
+		}
+	}
+}
+
+// recTime returns the first timestamp of block-fixture record i.
+func recTime(i int) uint32 { return uint32(1000 + 100*i) }
+
+// blocksExact asserts every loaded segment's block summaries are
+// exactly the summaries of their runs of blockRecs records (and the
+// segment summary that of all its records); deferred segments hold
+// neither records nor blocks.
+func blocksExact(t *testing.T, l *Log, stage string) {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.segRecs) != len(l.segs) {
+		t.Fatalf("%s: %d record lists for %d segments", stage, len(l.segRecs), len(l.segs))
+	}
+	for si, r := range l.segRecs {
+		if l.segs[si].lazy {
+			if len(r.metas) != 0 || len(r.blocks) != 0 {
+				t.Fatalf("%s: deferred segment %d holds %d records, %d blocks", stage, si, len(r.metas), len(r.blocks))
+			}
+			continue
+		}
+		if want := (len(r.metas) + blockRecs - 1) / blockRecs; len(r.blocks) != want {
+			t.Fatalf("%s: segment %d: %d blocks for %d records, want %d", stage, si, len(r.blocks), len(r.metas), want)
+		}
+		for b := range r.blocks {
+			lo := b * blockRecs
+			if want := summarize(r.metas[lo:min(lo+blockRecs, len(r.metas))]); r.blocks[b] != want {
+				t.Fatalf("%s: segment %d block %d: summary %+v, want %+v", stage, si, b, r.blocks[b], want)
+			}
+		}
+		if want := summarize(r.metas); l.segs[si].sum != want {
+			t.Fatalf("%s: segment %d: summary %+v, want %+v", stage, si, l.segs[si].sum, want)
+		}
+	}
+}
+
+// blockWindows checks blocksExact and the oracle on time-selective,
+// spatial and mixed windows around the block boundaries of the fixture,
+// returning the stats of the window that covers records 125–131.
+func blockWindows(t *testing.T, l *Log, stage string) WindowStats {
+	t.Helper()
+	blocksExact(t, l, stage)
+	checkWindow(t, l, -10, -10, 10, 10, recTime(60), recTime(70))
+	ws := checkWindow(t, l, -10, -10, 10, 10, recTime(125), recTime(131)+5)
+	checkWindow(t, l, -10, -10, 10, 10, 0, math.MaxUint32)
+	minX, minY, maxX, maxY := cellWindow(1, 1)
+	checkWindow(t, l, minX, minY, maxX, maxY, 0, math.MaxUint32)
+	minX, minY, maxX, maxY = cellWindow(2, 3)
+	checkWindow(t, l, minX, minY, maxX, maxY, recTime(100), recTime(200))
+	checkWindow(t, l, 50, 50, 60, 60, 0, math.MaxUint32) // empty
+	blocksExact(t, l, stage+" (after queries)")
+	return ws
+}
+
+func TestWindowBlocksAppend(t *testing.T) {
+	l := mustOpen(t, t.TempDir(), Options{})
+	defer l.Close()
+	n := 0
+	for _, want := range []int{1, 63, 64, 65, 127, 128, 129, 191, 193} {
+		blockFill(t, l, n, want)
+		n = want
+		ws := blockWindows(t, l, fmt.Sprintf("%d records", n))
+		// Records 0–63 fill the first block and all miss the 125–131
+		// time window, so the block is skipped whole once the window
+		// has records of its own to match.
+		if n > 128 && ws.RecordsBlockPruned < blockRecs {
+			t.Fatalf("%d records: block tier skipped %d records on a time-selective window", n, ws.RecordsBlockPruned)
+		}
+		if ws.RecordsBlockPruned > ws.RecordsPruned || ws.RecordsPruned > ws.RecordsIndexed {
+			t.Fatalf("%d records: inconsistent stats %+v", n, ws)
+		}
+	}
+}
+
+// TestWindowBlocksPoisonHeal: a failed fsync withdraws the at-risk tail
+// — records 100–129, which cross the block boundary at 128 — out of
+// the active segment; the cut block must be re-summarized, and the heal
+// that lands the tail in a fresh segment (after one failed publish that
+// rolls back) must summarize it there.
+func TestWindowBlocksPoisonHeal(t *testing.T) {
+	fs := vfs.NewFaultFS(11)
+	l := mustOpen(t, t.TempDir(), Options{FS: fs})
+	defer l.Close()
+	blockFill(t, l, 0, 100)
+	if err := l.Sync(); err != nil { // watermark after record 99
+		t.Fatal(err)
+	}
+	blockFill(t, l, 100, 130)
+	fs.AddRule(vfs.Rule{Op: vfs.OpSync, Path: "seg-*.log", Fault: vfs.FaultEIO, Count: 1})
+	fs.AddRule(vfs.Rule{Op: vfs.OpRename, Path: manifestName, Fault: vfs.FaultEIO, Count: 1})
+	if err := l.Sync(); err == nil {
+		t.Fatal("Sync succeeded although the salvage publish failed")
+	}
+	if s := l.Stats(); s.Records != 100 {
+		t.Fatalf("poisoned log indexes %d records, want the 100 durable ones", s.Records)
+	}
+	blockWindows(t, l, "poisoned, heal rolled back")
+	if err := l.Sync(); err != nil { // rules exhausted: the heal lands
+		t.Fatal(err)
+	}
+	if s := l.Stats(); s.Records != 130 || s.Segments != 2 {
+		t.Fatalf("after heal: %+v, want 130 records in 2 segments", s)
+	}
+	blockWindows(t, l, "healed")
+	blockFill(t, l, 130, 200)
+	blockWindows(t, l, "appended after heal")
+}
+
+// TestWindowBlocksPoisonNothingDurable drives the heal's other path: no
+// fsync ever succeeded, so the poisoned segment keeps no record and the
+// salvage file takes its slot — first with a publish failure that
+// restores the empty slot, then for real.
+func TestWindowBlocksPoisonNothingDurable(t *testing.T) {
+	fs := vfs.NewFaultFS(12)
+	l := mustOpen(t, t.TempDir(), Options{FS: fs})
+	defer l.Close()
+	blockFill(t, l, 0, 70)
+	fs.AddRule(vfs.Rule{Op: vfs.OpSync, Path: "seg-*.log", Fault: vfs.FaultEIO})
+	if err := l.Sync(); err == nil {
+		t.Fatal("Sync succeeded while every segment fsync fails")
+	}
+	if s := l.Stats(); s.Records != 0 {
+		t.Fatalf("poisoned log indexes %d records, want 0", s.Records)
+	}
+	blockWindows(t, l, "poisoned, nothing durable")
+	fs.ClearRules()
+	fs.AddRule(vfs.Rule{Op: vfs.OpRename, Path: manifestName, Fault: vfs.FaultEIO, Count: 1})
+	if err := l.Sync(); err == nil {
+		t.Fatal("Sync succeeded although the salvage publish failed")
+	}
+	blockWindows(t, l, "heal rolled back")
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if s := l.Stats(); s.Records != 70 || s.Segments != 1 {
+		t.Fatalf("after heal: %+v, want 70 records in 1 segment", s)
+	}
+	blockWindows(t, l, "healed into the salvage slot")
+}
+
+// TestWindowBlocksRotation: rotations seal segments of about 90 records
+// (a full block plus a partial one), and a rotation whose manifest
+// publish fails rolls back, leaving the old segment active and still
+// growing its last block.
+func TestWindowBlocksRotation(t *testing.T) {
+	fs := vfs.NewFaultFS(13)
+	l := mustOpen(t, t.TempDir(), Options{FS: fs, MaxSegmentBytes: 6 << 10})
+	defer l.Close()
+	fs.AddRule(vfs.Rule{Op: vfs.OpRename, Path: manifestName, Fault: vfs.FaultEIO, Count: 1})
+	n := 0
+	for l.Stats().Segments == 1 && n < 1000 {
+		blockFill(t, l, n, n+1)
+		n++
+	}
+	// The first rotation attempt failed to publish; the second, one
+	// append later, succeeded.
+	if n >= 1000 {
+		t.Fatal("the log never rotated")
+	}
+	if n < blockRecs+2 {
+		t.Fatalf("rotated after %d records; the fixture wants segments longer than a block", n)
+	}
+	blockWindows(t, l, fmt.Sprintf("rotated after %d records", n))
+	blockFill(t, l, n, 300)
+	if s := l.Stats(); s.Segments < 3 {
+		t.Fatalf("300 records fill %d segments, want ≥ 3", s.Segments)
+	}
+	blockWindows(t, l, "several rotations")
+}
+
+// TestWindowBlocksCompactReopen: compaction installs freshly written
+// segments (their blocks built by the compactor), and a reopen defers
+// sealed segments until a window query loads them through their block
+// index; both read-write and read-only.
+func TestWindowBlocksCompactReopen(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{MaxSegmentBytes: 6 << 10}
+	l := mustOpen(t, dir, opts)
+	blockFill(t, l, 0, 300)
+	blockWindows(t, l, "before compaction")
+	// Ageing rewrites every sealed record, regrouped per device.
+	res, err := l.Compact(CompactionPolicy{CoarseTolerance: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Gen == 0 || res.SegmentsOut == 0 {
+		t.Fatalf("compaction did not rewrite: %+v", res)
+	}
+	blockWindows(t, l, "after compaction")
+	blockFill(t, l, 300, 330)
+	want := byDevice(mustWindow(t, l, -10, -10, 10, 10))
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, ro := range []bool{false, true} {
+		opts.ReadOnly = ro
+		l := mustOpen(t, dir, opts)
+		l.mu.Lock()
+		lazy := 0
+		for _, s := range l.segs {
+			if s.lazy {
+				lazy++
+			}
+		}
+		l.mu.Unlock()
+		if lazy == 0 {
+			t.Fatalf("read-only=%v: reopen deferred no segment", ro)
+		}
+		stage := fmt.Sprintf("reopened (read-only=%v)", ro)
+		blockWindows(t, l, stage)
+		if got := byDevice(mustWindow(t, l, -10, -10, 10, 10)); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: results changed across reopen", stage)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// writeV1Segment writes a version-1 segment file (no record bounding
+// boxes) holding block-fixture records [0, n).
+func writeV1Segment(t *testing.T, path string, n int) {
+	t.Helper()
+	data := append(append([]byte(nil), magic[:]...), versionLegacy, 0)
+	for i := 0; i < n; i++ {
+		dev, keys := blockKeys(i)
+		payload, err := trajstore.DeltaEncode(keys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t0, t1 := timeBounds(keys)
+		body := binary.LittleEndian.AppendUint16(nil, uint16(len(dev)))
+		body = append(body, dev...)
+		body = binary.LittleEndian.AppendUint32(body, t0)
+		body = binary.LittleEndian.AppendUint32(body, t1)
+		body = append(body, payload...)
+		data = binary.LittleEndian.AppendUint32(data, uint32(len(body)))
+		data = binary.LittleEndian.AppendUint32(data, crc32.Checksum(body, castagnoli))
+		data = append(data, body...)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWindowBlocksLegacy: legacy records carry no bounding box, so
+// their blocks are never spatially pruned (bbAll false) but still prune
+// on time. Covers the checked-in v1 fixture (one partial block) and a
+// 130-record v1 segment read-only, writable (sealed behind a fresh
+// current-format segment) and after the compaction upgrade.
+func TestWindowBlocksLegacy(t *testing.T) {
+	fix := mustOpen(t, copyFixture(t), Options{ReadOnly: true})
+	blocksExact(t, fix, "v1 fixture")
+	for _, w := range fixtureWindows {
+		checkWindow(t, fix, w.minX, w.minY, w.maxX, w.maxY, w.t0, w.t1)
+	}
+	if err := fix.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	writeV1Segment(t, filepath.Join(dir, segName(1)), 130)
+	ro := mustOpen(t, dir, Options{ReadOnly: true})
+	ws := blockWindows(t, ro, "v1 read-only")
+	if ws.RecordsBlockPruned < blockRecs {
+		t.Fatalf("v1 blocks not time-pruned: %+v", ws)
+	}
+	minX, minY, maxX, maxY := cellWindow(1, 1)
+	if ws := checkWindow(t, ro, minX, minY, maxX, maxY, 0, math.MaxUint32); ws.RecordsBlockPruned != 0 {
+		t.Fatalf("v1 blocks pruned spatially without bounding boxes: %+v", ws)
+	}
+	if err := ro.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	l := mustOpen(t, dir, Options{MaxSegmentBytes: 6 << 10})
+	defer l.Close()
+	blockWindows(t, l, "v1 writable")
+	// Appends land in a current-format segment after the sealed v1 one.
+	for i := 130; i < 200; i++ {
+		dev, keys := blockKeys(i)
+		if err := l.Append(dev, keys); err != nil {
+			t.Fatal(err)
+		}
+	}
+	blockWindows(t, l, "v1 plus current-format appends")
+	if res, err := l.Compact(CompactionPolicy{NoDedup: true}); err != nil || res.Gen == 0 {
+		t.Fatalf("upgrade compaction: %+v, %v", res, err)
+	}
+	blockWindows(t, l, "v1 upgraded by compaction")
 }
