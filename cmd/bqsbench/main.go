@@ -549,9 +549,9 @@ func runQueryBench(rl *segmentlog.ShardedLog, devices, grid int, cellSep float64
 		if total > 0 {
 			pct = 100 * float64(st.RecordsDecoded) / float64(total)
 		}
-		fmt.Printf("query window (%s, %d of %d devices): %v/query, decoded %d of %d records (%.1f%%), matched %d, %d/%d segments pruned, %d records block-pruned\n",
+		fmt.Printf("query window (%s, %d of %d devices): %v/query, decoded %d of %d records (%.1f%%), matched %d, %d/%d segments pruned, %d records cell-pruned\n",
 			w.name, w.inRange, devices, per.Round(time.Microsecond),
-			st.RecordsDecoded, total, pct, matched, st.SegmentsPruned, st.Segments, st.RecordsBlockPruned)
+			st.RecordsDecoded, total, pct, matched, st.SegmentsPruned, st.Segments, st.RecordsCellPruned)
 		if cs := rl.CacheStats(); cs.Capacity > 0 {
 			fmt.Printf("query window (%s) cache: %d hits on last query, %d/%s resident\n",
 				w.name, st.CacheHits, cs.Entries, humanBytes(int(cs.Bytes)))

@@ -148,9 +148,9 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		fmt.Fprintf(os.Stderr, "bqsrecover: window [%g, %g]×[%g, %g] t[%d, %d]: %d/%d segments pruned, %d records decoded (of %d indexed, %d skipped by block summaries), %d matched\n",
+		fmt.Fprintf(os.Stderr, "bqsrecover: window [%g, %g]×[%g, %g] t[%d, %d]: %d/%d segments pruned, %d records decoded (of %d indexed, %d skipped by the cell index), %d matched\n",
 			minX, maxX, minY, maxY, *t0, *t1,
-			ws.SegmentsPruned, ws.Segments, ws.RecordsDecoded, ws.RecordsIndexed, ws.RecordsBlockPruned, ws.RecordsMatched)
+			ws.SegmentsPruned, ws.Segments, ws.RecordsDecoded, ws.RecordsIndexed, ws.RecordsCellPruned, ws.RecordsMatched)
 		for i, rec := range recs {
 			if *csv {
 				for _, k := range rec.Keys {

@@ -454,8 +454,10 @@ func (l *Log) compactDevice(refs []devRef, sealed []segmentFile, files []vfs.Fil
 	decoded := 0
 	defer func() { out.decoded = decoded }()
 	recs := make([]compactRecord, 0, len(refs))
+	var buf []byte
 	for _, ref := range refs {
-		body, err := readRecordAt(files[ref.seg], ref.off, ref.bodyLen)
+		buf = growRecordBuf(buf, ref.bodyLen)
+		body, err := readRecordAt(files[ref.seg], ref.off, buf)
 		if err != nil {
 			out.err = fmt.Errorf("compact: %s: record at offset %d: %w (bit rot since open?)",
 				filepath.Base(sealed[ref.seg].path), ref.off, err)

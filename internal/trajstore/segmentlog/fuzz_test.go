@@ -1,6 +1,8 @@
 package segmentlog
 
 import (
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -183,5 +185,138 @@ func FuzzManifest(f *testing.F) {
 				t.Fatalf("parser accepted non-canonical segment name %q", m.Segs[i].Name)
 			}
 		}
+	})
+}
+
+// fuzzCellRecs decodes the records of FuzzWindowCells: 13 bytes each —
+// start latitude and longitude (int32, folded into the valid range),
+// latitude and longitude extent (uint16) and a mode byte. Mode&3
+// selects the extent's scale: 0 raw 1e-7° units (up to half a cell),
+// 1 sixteenths of a cell (up to thousands of cells: wide records),
+// 2 a zero-size box snapped to a cell corner, 3 no box at all (a
+// legacy record). Mode>>2 widens the record's time span.
+func fuzzCellRecs(data []byte) []recordMeta {
+	const maxLat, maxLon = 900_000_000, 1_800_000_000
+	fold := func(v, lim int32) int32 {
+		if v > lim || v < -lim {
+			return v % lim
+		}
+		return v
+	}
+	var metas []recordMeta
+	for i := 0; len(data) >= 13; i++ {
+		lat := fold(int32(binary.LittleEndian.Uint32(data)), maxLat)
+		lon := fold(int32(binary.LittleEndian.Uint32(data[4:])), maxLon)
+		dLat := int64(binary.LittleEndian.Uint16(data[8:]))
+		dLon := int64(binary.LittleEndian.Uint16(data[10:]))
+		mode := data[12]
+		data = data[13:]
+		m := recordMeta{t0: uint32(i * 7 % 100), hasBB: true}
+		m.t1 = m.t0 + uint32(mode>>2)
+		switch mode & 3 {
+		case 1:
+			dLat, dLon = dLat<<(cellShift-4), dLon<<(cellShift-4)
+		case 2:
+			lat, lon = lat&^(1<<cellShift-1), lon&^(1<<cellShift-1)
+			dLat, dLon = 0, 0
+		case 3:
+			m.hasBB = false
+		}
+		m.bb = bbox{minLat: lat, minLon: lon,
+			maxLat: int32(min(int64(lat)+dLat, maxLat)), maxLon: int32(min(int64(lon)+dLon, maxLon))}
+		metas = append(metas, m)
+	}
+	return metas
+}
+
+// fuzzCellRec encodes one FuzzWindowCells record.
+func fuzzCellRec(lat, lon int32, dLat, dLon uint16, mode byte) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, uint32(lat))
+	b = binary.LittleEndian.AppendUint32(b, uint32(lon))
+	b = binary.LittleEndian.AppendUint16(b, dLat)
+	b = binary.LittleEndian.AppendUint16(b, dLon)
+	return append(b, mode)
+}
+
+// FuzzWindowCells checks the cell index against brute force: over
+// random record boxes — ±90/±180 extremes, boxes on cell boundaries,
+// zero-size boxes, wide and box-less records — and a random window
+// (given in 1e-7° units; the extreme int32 values stand for ±Inf), the
+// candidates must be exactly the records whose own metadata passes the
+// window, ascending and without duplicates, each tested at most once.
+// The same must hold after a truncation, and both the incrementally
+// built and the truncated index must equal one built from scratch.
+func FuzzWindowCells(f *testing.F) {
+	const cell = 1 << cellShift
+	var seed []byte
+	for _, r := range [][5]int64{
+		{900_000_000, 1_800_000_000, 0, 0, 0},           // the north-east corner
+		{-900_000_000, -1_800_000_000, 0, 0, 2},         // the south-west corner, snapped
+		{-900_000_000, -1_800_000_000, 65535, 65535, 1}, // a wide box from the corner
+		{3 * cell, -5 * cell, 0, 0, 0},                  // a point on a cell corner
+		{3*cell - 1, -5*cell - 1, 10, 10, 0},            // a box across a cell corner
+		{-1, -1, 1, 1, 4},                               // the origin's four cells
+		{123_456, -654_321, 300, 65535, 1},              // a tall, wide record
+		{0, 0, 0, 0, 3},                                 // no box
+		{-70_000, 20_000, 5000, 7000, 8},
+	} {
+		seed = append(seed, fuzzCellRec(int32(r[0]), int32(r[1]), uint16(r[2]), uint16(r[3]), byte(r[4]))...)
+	}
+	f.Add(seed, int32(-cell), int32(-cell), int32(cell), int32(cell), uint32(0), uint32(100), uint16(4))
+	f.Add(seed, int32(math.MinInt32), int32(math.MinInt32), int32(math.MaxInt32), int32(math.MaxInt32), uint32(0), uint32(math.MaxUint32), uint16(9))
+	f.Add(seed, int32(-5*cell), int32(3*cell), int32(-5*cell), int32(3*cell), uint32(0), uint32(100), uint16(0))
+	// Inside the upper cells of the box across a cell corner only.
+	f.Add(seed, int32(-5*cell+5), int32(2*(3*cell+5)), int32(-5*cell+6), int32(2*(3*cell+6)), uint32(0), uint32(100), uint16(0))
+	f.Add(seed, int32(1_800_000_000), int32(1_800_000_000), int32(1_800_000_000), int32(1_800_000_000), uint32(0), uint32(50), uint16(2))
+	f.Add([]byte{}, int32(0), int32(0), int32(0), int32(0), uint32(0), uint32(0), uint16(0))
+
+	f.Fuzz(func(t *testing.T, data []byte, wx0, wy0, wx1, wy1 int32, t0, t1 uint32, cut uint16) {
+		// Latitude bounds are halved so windows reach past ±90° and stay
+		// inside it about equally often.
+		deg := func(v int32, scale float64) float64 {
+			switch v {
+			case math.MinInt32:
+				return math.Inf(-1)
+			case math.MaxInt32:
+				return math.Inf(1)
+			}
+			return float64(v) / scale
+		}
+		minX, maxX := deg(min(wx0, wx1), 1e7), deg(max(wx0, wx1), 1e7)
+		minY, maxY := deg(min(wy0, wy1), 2e7), deg(max(wy0, wy1), 2e7)
+		t0, t1 = min(t0, t1), max(t0, t1)
+		q := newWindowQuery(minX, minY, maxX, maxY, t0, t1)
+
+		check := func(stage string, r *segRecords) {
+			t.Helper()
+			var want []int32
+			for p := range r.metas {
+				m := &r.metas[p]
+				if m.t0 > t1 || m.t1 < t0 || (m.hasBB && !m.bb.intersects(minX, minY, maxX, maxY)) {
+					continue
+				}
+				want = append(want, int32(p))
+			}
+			got, tested := r.candidates(nil, &q)
+			if !reflect.DeepEqual(got, want) && (len(got) != 0 || len(want) != 0) {
+				t.Fatalf("%s: window [%g,%g]×[%g,%g] t[%d,%d]: candidates %v, want %v",
+					stage, minX, maxX, minY, maxY, t0, t1, got, want)
+			}
+			if tested < len(got) || tested > len(r.metas) {
+				t.Fatalf("%s: tested %d records for %d candidates of %d", stage, tested, len(got), len(r.metas))
+			}
+			var scratch segRecords
+			scratch.set(r.metas)
+			if !reflect.DeepEqual(*r, scratch) {
+				t.Fatalf("%s: index differs from one built from scratch", stage)
+			}
+		}
+		var r segRecords
+		for _, m := range fuzzCellRecs(data) {
+			r.add(m)
+		}
+		check("appended", &r)
+		r.truncate(int(cut) % (len(r.metas) + 1))
+		check("truncated", &r)
 	})
 }

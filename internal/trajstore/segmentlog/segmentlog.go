@@ -298,6 +298,9 @@ type Log struct {
 	// even though their segment bytes may be gone) and re-indexed by a
 	// successful heal.
 	atRisk []recordMeta
+	// winPos is snapshotWindow's candidate-position scratch, reused by
+	// every window query under mu.
+	winPos []int32
 	stats  Stats
 }
 
@@ -314,7 +317,7 @@ func (l *Log) compactLiveAdd(n int) {
 }
 
 // addRecordLocked indexes one record of segment slot seg: the segment's
-// meta list and block summaries, the per-device index and the segment
+// meta list and cell index, the per-device index and the segment
 // summary all advance together. Callers hold mu (or are inside Open).
 func (l *Log) addRecordLocked(seg int, m recordMeta) {
 	l.index[m.device] = append(l.index[m.device], recordAddr{seg: int32(seg), pos: int32(len(l.segRecs[seg].metas))})
@@ -1683,11 +1686,13 @@ func (l *Log) snapshotRefs(device string, t0, t1 uint32) ([]refSnap, []segSnap, 
 }
 
 // segReader reads CRC-verified record bodies from a segment snapshot,
-// caching one open file handle per segment.
+// caching one open file handle per segment and reusing one read buffer
+// for the whole query.
 type segReader struct {
 	fs    vfs.FS
 	segs  []segSnap
 	files map[int]vfs.File
+	buf   []byte
 }
 
 func newSegReader(fsys vfs.FS, segs []segSnap) *segReader {
@@ -1702,7 +1707,8 @@ func (r *segReader) close() {
 
 // readRecord reads ref's record — header and body — and re-verifies the
 // length prefix and CRC: the index-time check does not protect against
-// bit rot between Open and the read.
+// bit rot between Open and the read. The body aliases the reader's
+// buffer, so it is valid only until the next readRecord.
 func (r *segReader) readRecord(ref refSnap) ([]byte, error) {
 	f := r.files[ref.seg]
 	if f == nil {
@@ -1713,14 +1719,26 @@ func (r *segReader) readRecord(ref refSnap) ([]byte, error) {
 		}
 		r.files[ref.seg] = f
 	}
-	return readRecordAt(f, ref.off, ref.bodyLen)
+	r.buf = growRecordBuf(r.buf, ref.bodyLen)
+	return readRecordAt(f, ref.off, r.buf)
 }
 
-// readRecordAt reads one record — header and body — at a known body
-// offset via pread (safe for concurrent use of a shared handle) and
-// re-verifies the length prefix and CRC against the indexed metadata.
-func readRecordAt(f io.ReaderAt, off int64, bodyLen int) ([]byte, error) {
-	rec := make([]byte, recordHeaderSize+bodyLen)
+// growRecordBuf returns buf resized to hold a record of bodyLen body
+// bytes, reallocating only when its capacity is too small.
+func growRecordBuf(buf []byte, bodyLen int) []byte {
+	n := recordHeaderSize + bodyLen
+	if cap(buf) < n {
+		return make([]byte, n)
+	}
+	return buf[:n]
+}
+
+// readRecordAt fills rec with one record — header and body, rec sized
+// for exactly that — read at a known body offset via pread (safe for
+// concurrent use of a shared handle), and re-verifies the length prefix
+// and CRC against the indexed metadata. The returned body aliases rec.
+func readRecordAt(f io.ReaderAt, off int64, rec []byte) ([]byte, error) {
+	bodyLen := len(rec) - recordHeaderSize
 	if _, err := f.ReadAt(rec, off-recordHeaderSize); err != nil {
 		return nil, fmt.Errorf("segmentlog: reading record: %w", err)
 	}

@@ -556,7 +556,7 @@ func (s *ShardedLog) QueryWindowStats(minX, minY, maxX, maxY float64, t0, t1 uin
 		ws.SegmentsPruned += o.ws.SegmentsPruned
 		ws.RecordsIndexed += o.ws.RecordsIndexed
 		ws.RecordsPruned += o.ws.RecordsPruned
-		ws.RecordsBlockPruned += o.ws.RecordsBlockPruned
+		ws.RecordsCellPruned += o.ws.RecordsCellPruned
 		ws.RecordsDecoded += o.ws.RecordsDecoded
 		ws.RecordsMatched += o.ws.RecordsMatched
 		ws.CacheHits += o.ws.CacheHits

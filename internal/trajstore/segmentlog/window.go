@@ -3,10 +3,11 @@
 // every record whose trajectory actually enters an axis-aligned window
 // during a time range, pruning with three metadata tiers before
 // touching any payload — per-segment summaries (the manifest-level
-// bbox/time union of a whole file), in-memory block summaries (the same
-// union over each run of blockRecs consecutive records) and per-record
-// bounding boxes (from the block index / v2 record headers). The
-// bounding structures only ever prune:
+// bbox/time union of a whole file), an in-memory spatial cell index per
+// segment (each record listed under the fixed grid cells its bbox
+// covers, with a summary per run of runRecs entries of every cell list)
+// and per-record bounding boxes (from the block index / v2 record
+// headers). The bounding structures only ever prune:
 // a candidate record is decoded and tested exactly, so indexed and
 // fallback (pre-index, legacy v1) paths return identical results.
 package segmentlog
@@ -16,6 +17,7 @@ import (
 	"fmt"
 	"io/fs"
 	"math"
+	"slices"
 
 	"github.com/trajcomp/bqs/internal/trajstore"
 )
@@ -80,8 +82,8 @@ func keysBBox(keys []trajstore.GeoKey) bbox {
 // bounds and bounding box of every record in it. One per segment drives
 // segment-level pruning — maintained incrementally on append, rebuilt
 // from the block index or scan on Open, and published in the MANIFEST
-// for sealed segments — and one per block of blockRecs records drives
-// block-level pruning (see segRecords).
+// for sealed segments — and one per run of runRecs entries of a cell
+// list drives run-level pruning (see segRecords).
 type segSummary struct {
 	records int
 	t0, t1  uint32 // union of record time bounds; valid when records > 0
@@ -120,51 +122,202 @@ func summarize(metas []recordMeta) segSummary {
 	return sum
 }
 
-// blockRecs is the number of consecutive records one block summary
-// covers: large enough that the summaries cost under a byte per record,
-// small enough that a time- or space-selective window skips most of a
-// large segment in runs.
-const blockRecs = 64
+// The spatial cell index. Records are listed under every cell of a
+// fixed grid that their quantized bbox covers; a window visits only the
+// cells its own (conservatively widened) range touches. A checkpointed
+// fleet appends records in device order, so consecutive records are
+// scattered over the whole area and runs of them prune only by time;
+// grouping by cell lets a window skip the rest of the area.
+const (
+	// cellShift sets the grid: a cell spans 2^cellShift quantized units
+	// (1e-7°) on each axis — 0.0131072°, about 1.46 km of latitude.
+	cellShift = 17
+	// maxRecordCells caps how many cells one record is listed under; a
+	// record whose bbox covers more goes on the segment's wide list,
+	// which every window visits.
+	maxRecordCells = 16
+	// runRecs is the number of consecutive entries of a cell list one
+	// run summary covers: the summaries cost under a byte per entry, and
+	// a time-selective window still skips most of a busy cell in runs.
+	runRecs = 64
+)
+
+// cellOf maps a quantized coordinate to its grid cell (flooring, so
+// negative coordinates get cells of their own).
+func cellOf(q int32) int32 { return q >> cellShift }
+
+// cellKey packs a cell's coordinates into one map key.
+func cellKey(cx, cy int32) uint64 { return uint64(uint32(cy))<<32 | uint64(uint32(cx)) }
+
+// cellList is one list of the cell index: positions into the segment's
+// metas, ascending, with sums[k] exactly the summary of the records at
+// pos[k·runRecs : (k+1)·runRecs].
+type cellList struct {
+	cx, cy int32
+	pos    []int32
+	sums   []segSummary
+}
+
+// push appends record p, extending the last run or opening a new one.
+func (c *cellList) push(p int32, m *recordMeta) {
+	if len(c.pos)%runRecs == 0 {
+		c.sums = append(c.sums, segSummary{})
+	}
+	c.pos = append(c.pos, p)
+	c.sums[len(c.sums)-1].add(*m)
+}
 
 // segRecords is one segment's per-record metadata in file order
-// together with its block summaries: blocks[b] is exactly the summary
-// of metas[b·blockRecs : (b+1)·blockRecs]. Every change to a segment's
-// records goes through add, truncate or set, so the summaries never go
-// stale. They are memory-only: derived from the metadata, never
-// persisted. The zero value is an empty (or not yet loaded) segment.
+// together with its spatial cell index: lists[cells[cellKey(cx, cy)]]
+// holds every record whose bbox covers cell (cx, cy), and wide every
+// record listed under no cell (no bbox, or one covering more than
+// maxRecordCells cells). Every change to a segment's records goes
+// through add, truncate or set, so the index never goes stale. It is
+// memory-only: derived from the metadata, never persisted. The zero
+// value is an empty (or not yet loaded) segment.
 type segRecords struct {
-	metas  []recordMeta
-	blocks []segSummary
+	metas []recordMeta
+	cells map[uint64]int32 // cell key → index into lists
+	lists []cellList       // occupied cells, in order of first use
+	wide  cellList
 }
 
-// add appends one record, extending the last block or opening a new
-// one: O(1).
-func (r *segRecords) add(m recordMeta) {
-	if len(r.metas)%blockRecs == 0 {
-		r.blocks = append(r.blocks, segSummary{})
+// recordCells returns the cell range a record is listed under, or
+// ok=false for a wide record.
+func recordCells(m *recordMeta) (x0, y0, x1, y1 int32, ok bool) {
+	if !m.hasBB {
+		return 0, 0, 0, 0, false
 	}
-	r.metas = append(r.metas, m)
-	r.blocks[len(r.blocks)-1].add(m)
+	x0, y0 = cellOf(m.bb.minLon), cellOf(m.bb.minLat)
+	x1, y1 = cellOf(m.bb.maxLon), cellOf(m.bb.maxLat)
+	if n := (int64(x1) - int64(x0) + 1) * (int64(y1) - int64(y0) + 1); n < 1 || n > maxRecordCells {
+		return 0, 0, 0, 0, false
+	}
+	return x0, y0, x1, y1, true
 }
 
-// truncate keeps the first n records; a block the cut splits is
-// re-summarized from its surviving records.
+// add appends one record and lists it in the index: O(cells covered).
+func (r *segRecords) add(m recordMeta) {
+	r.metas = append(r.metas, m)
+	r.index(int32(len(r.metas) - 1))
+}
+
+// index lists record p under its cells, or on the wide list.
+func (r *segRecords) index(p int32) {
+	m := &r.metas[p]
+	x0, y0, x1, y1, ok := recordCells(m)
+	if !ok {
+		r.wide.push(p, m)
+		return
+	}
+	if r.cells == nil {
+		r.cells = make(map[uint64]int32)
+	}
+	for cy := y0; cy <= y1; cy++ {
+		for cx := x0; cx <= x1; cx++ {
+			li, found := r.cells[cellKey(cx, cy)]
+			if !found {
+				li = int32(len(r.lists))
+				r.cells[cellKey(cx, cy)] = li
+				r.lists = append(r.lists, cellList{cx: cx, cy: cy})
+			}
+			r.lists[li].push(p, m)
+		}
+	}
+}
+
+// truncate keeps the first n records. It runs only when a failed fsync
+// withdraws the at-risk tail, so it simply rebuilds the index.
 func (r *segRecords) truncate(n int) {
-	r.metas = r.metas[:n]
-	r.blocks = r.blocks[:(n+blockRecs-1)/blockRecs]
-	if tail := n % blockRecs; tail != 0 {
-		r.blocks[len(r.blocks)-1] = summarize(r.metas[n-tail:])
+	if n < len(r.metas) {
+		r.set(r.metas[:n])
 	}
 }
 
 // set replaces the records wholesale (a lazy segment's load) and
-// summarizes every block.
+// indexes every one.
 func (r *segRecords) set(metas []recordMeta) {
-	r.metas = metas
-	r.blocks = make([]segSummary, 0, (len(metas)+blockRecs-1)/blockRecs)
-	for lo := 0; lo < len(metas); lo += blockRecs {
-		r.blocks = append(r.blocks, summarize(metas[lo:min(lo+blockRecs, len(metas))]))
+	*r = segRecords{metas: metas}
+	for p := range metas {
+		r.index(int32(p))
 	}
+}
+
+// windowQuery is one window with its conservatively widened cell range.
+type windowQuery struct {
+	minX, minY, maxX, maxY float64
+	t0, t1                 uint32
+	// x0..x1 × y0..y1 is every cell a record intersecting the window
+	// can be listed under.
+	x0, y0, x1, y1 int32
+}
+
+// newWindowQuery widens the window by a quantum beyond its rounded
+// bounds before mapping it to cells, so a record whose bbox passes
+// bbox.intersects always shares a cell with the range.
+func newWindowQuery(minX, minY, maxX, maxY float64, t0, t1 uint32) windowQuery {
+	lo := func(v float64) int32 { return cellOf(clampQuant(math.Floor(v*1e7) - 1)) }
+	hi := func(v float64) int32 { return cellOf(clampQuant(math.Ceil(v*1e7) + 1)) }
+	return windowQuery{minX: minX, minY: minY, maxX: maxX, maxY: maxY, t0: t0, t1: t1,
+		x0: lo(minX), y0: lo(minY), x1: hi(maxX), y1: hi(maxY)}
+}
+
+// clampQuant converts a quantized coordinate to int32, saturating
+// (infinite and out-of-range window bounds included).
+func clampQuant(v float64) int32 {
+	return int32(max(math.MinInt32, min(math.MaxInt32, v)))
+}
+
+// candidates returns, in buf's storage, the positions of the records
+// whose metadata cannot rule out the window, ascending, and how many
+// records had their own metadata tested. It visits the wide list and
+// the cells of the window's range — through the map, or by scanning the
+// occupied cells when there are fewer of those. A record listed under
+// several visited cells is tested only at its reference cell: the
+// lowest of the cells it shares with the range, on each axis.
+func (r *segRecords) candidates(buf []int32, q *windowQuery) (cands []int32, tested int) {
+	cands = r.visit(buf[:0], &r.wide, false, q, &tested)
+	if span := (int64(q.x1) - int64(q.x0) + 1) * (int64(q.y1) - int64(q.y0) + 1); span <= int64(len(r.lists)) {
+		for cy := q.y0; cy <= q.y1; cy++ {
+			for cx := q.x0; cx <= q.x1; cx++ {
+				if li, ok := r.cells[cellKey(cx, cy)]; ok {
+					cands = r.visit(cands, &r.lists[li], true, q, &tested)
+				}
+			}
+		}
+	} else {
+		for li := range r.lists {
+			if c := &r.lists[li]; c.cx >= q.x0 && c.cx <= q.x1 && c.cy >= q.y0 && c.cy <= q.y1 {
+				cands = r.visit(cands, c, true, q, &tested)
+			}
+		}
+	}
+	slices.Sort(cands)
+	return cands, tested
+}
+
+// visit runs the exact metadata test over the entries of one list whose
+// run summary does not rule out the window — for a cell list (ref),
+// only over the records whose reference cell this is — appending the
+// survivors to cands and counting the tests in tested.
+func (r *segRecords) visit(cands []int32, c *cellList, ref bool, q *windowQuery, tested *int) []int32 {
+	for k := range c.sums {
+		if c.sums[k].prunes(q.minX, q.minY, q.maxX, q.maxY, q.t0, q.t1) {
+			continue
+		}
+		for _, p := range c.pos[k*runRecs : min((k+1)*runRecs, len(c.pos))] {
+			m := &r.metas[p]
+			if ref && (max(cellOf(m.bb.minLon), q.x0) != c.cx || max(cellOf(m.bb.minLat), q.y0) != c.cy) {
+				continue
+			}
+			*tested++
+			if m.t0 > q.t1 || m.t1 < q.t0 || (m.hasBB && !m.bb.intersects(q.minX, q.minY, q.maxX, q.maxY)) {
+				continue
+			}
+			cands = append(cands, p)
+		}
+	}
+	return cands
 }
 
 // prunes reports whether the summary rules out every record it covers
@@ -177,25 +330,26 @@ func (s *segSummary) prunes(minX, minY, maxX, maxY float64, t0, t1 uint32) bool 
 
 // WindowStats reports how a window query was answered: how much the
 // three pruning tiers saved and how many records had to be decoded.
-// The selectivity win of the block index is RecordsDecoded versus the
+// The selectivity win of the indexes is RecordsDecoded versus the
 // total record count a full scan would decode.
 type WindowStats struct {
 	Segments       int // segments in the snapshot
 	SegmentsPruned int // skipped whole via segment summaries
 	// RecordsIndexed counts the records of every segment that survived
-	// segment pruning, whether their block summary or their own
-	// metadata ruled them out.
+	// segment pruning, whether the cell index or their own metadata
+	// ruled them out.
 	RecordsIndexed int
 	// RecordsPruned counts the records of RecordsIndexed skipped without
-	// a read: by their block summary or their own bbox/time bounds.
+	// a read: by the cell index or by their own bbox/time bounds.
 	RecordsPruned int
-	// RecordsBlockPruned is the part of RecordsPruned skipped whole with
-	// their block of blockRecs records; their own metadata was never
-	// examined.
-	RecordsBlockPruned int
-	RecordsDecoded     int // candidate records read and decoded from disk
-	RecordsMatched     int // records returned
-	CacheHits          int // candidate records served from the read cache (not decoded)
+	// RecordsCellPruned is the part of RecordsPruned the cell index
+	// ruled out on its own: records listed under no cell the window
+	// touches, or only in runs whose summary misses the window. Their
+	// own metadata was never tested.
+	RecordsCellPruned int
+	RecordsDecoded    int // candidate records read and decoded from disk
+	RecordsMatched    int // records returned
+	CacheHits         int // candidate records served from the read cache (not decoded)
 }
 
 // windowMatch is the exact predicate: the polyline has at least one
@@ -329,6 +483,7 @@ func (l *Log) snapshotWindow(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]r
 		return nil, nil, 0, ws, err
 	}
 	var cands []refSnap
+	q := newWindowQuery(minX, minY, maxX, maxY, t0, t1)
 	ws.Segments = len(l.segs)
 	for si := range l.segs {
 		if l.segs[si].sum.prunes(minX, minY, maxX, maxY, t0, t1) {
@@ -342,23 +497,15 @@ func (l *Log) snapshotWindow(minX, minY, maxX, maxY float64, t0, t1 uint32) ([]r
 			return nil, nil, 0, ws, err
 		}
 		recs := &l.segRecs[si]
-		for bi := range recs.blocks {
-			lo := bi * blockRecs
-			metas := recs.metas[lo:min(lo+blockRecs, len(recs.metas))]
-			ws.RecordsIndexed += len(metas)
-			if recs.blocks[bi].prunes(minX, minY, maxX, maxY, t0, t1) {
-				ws.RecordsPruned += len(metas)
-				ws.RecordsBlockPruned += len(metas)
-				continue
-			}
-			for pi := range metas {
-				m := &metas[pi]
-				if m.t0 > t1 || m.t1 < t0 || (m.hasBB && !m.bb.intersects(minX, minY, maxX, maxY)) {
-					ws.RecordsPruned++
-					continue
-				}
-				cands = append(cands, refSnap{seg: si, off: m.off, bodyLen: m.bodyLen})
-			}
+		pos, tested := recs.candidates(l.winPos, &q)
+		l.winPos = pos
+		ws.RecordsIndexed += len(recs.metas)
+		ws.RecordsPruned += len(recs.metas) - len(pos)
+		ws.RecordsCellPruned += len(recs.metas) - tested
+		cands = slices.Grow(cands, len(pos))
+		for _, p := range pos {
+			m := &recs.metas[p]
+			cands = append(cands, refSnap{seg: si, off: m.off, bodyLen: m.bodyLen})
 		}
 	}
 	segs := make([]segSnap, len(l.segs))

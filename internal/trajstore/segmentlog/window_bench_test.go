@@ -3,6 +3,7 @@ package segmentlog
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/trajcomp/bqs/internal/trajstore"
@@ -126,12 +127,12 @@ func BenchmarkQueryWindowCold(b *testing.B) { benchWindowCached(b, 0, false) }
 // cache — every record serves from memory (asserted: zero decodes).
 func BenchmarkQueryWindowCached(b *testing.B) { benchWindowCached(b, 16<<20, true) }
 
-// BenchmarkQueryWindowLargeActive is the shape block summaries exist
-// for: one active segment — no segment-level pruning possible — holding
-// 200 time-ordered rounds of 250 devices (50k records, one per device
-// per one-minute round), queried with a 10-minute, ~500 m window. Block
-// summaries must skip at least 80% of the records whole (asserted);
-// only the rest have their own metadata examined.
+// BenchmarkQueryWindowLargeActive: one active segment — no
+// segment-level pruning possible — holding 200 time-ordered rounds of
+// 250 devices (50k records, one per device per one-minute round),
+// queried with a 10-minute, ~500 m window. The cell index must rule out
+// at least 80% of the records without testing their own metadata
+// (asserted).
 func BenchmarkQueryWindowLargeActive(b *testing.B) {
 	const devices, rounds = 250, 200
 	l, err := Open(b.TempDir(), Options{})
@@ -163,24 +164,66 @@ func BenchmarkQueryWindowLargeActive(b *testing.B) {
 	}
 	// Rounds 100–109 around device 37's cell (≈ 500 m across).
 	const lat, lon, half = 0.02, 0.05, 0.00225
+	benchCellPruned(b, l, lon-half, lat-half, lon+half, lat+half, 60*100, 60*110-1, 0.8)
+}
+
+// BenchmarkQueryWindowMixedFleet is the shape the cell index exists
+// for: 1000 devices reporting once a minute for 200 rounds from random
+// positions across a ~10 km square, so every run of consecutive records
+// spans the whole area and prunes only by time. A 500 m, 10-minute
+// window must leave at least 90% of the records of the segments it
+// reaches untested by their own metadata (asserted).
+func BenchmarkQueryWindowMixedFleet(b *testing.B) {
+	const devices, rounds, area = 1000, 200, 0.09
+	l, err := Open(b.TempDir(), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { l.Close() })
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]trajstore.GeoKey, 8)
+	for r := 0; r < rounds; r++ {
+		for d := 0; d < devices; d++ {
+			lat0, lon0 := area*rng.Float64(), area*rng.Float64()
+			for i := range keys {
+				keys[i] = trajstore.GeoKey{
+					Lat: math.Round((lat0+float64(i)*2e-5)*1e7) / 1e7,
+					Lon: math.Round((lon0+float64(i)*1e-5)*1e7) / 1e7,
+					T:   uint32(60*r + 7*i),
+				}
+			}
+			if err := l.Append(fmt.Sprintf("dev-%04d", d), keys); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	// Rounds 100–109, a window ≈ 500 m across in the middle of the area.
+	const mid, half = area / 2, 0.00225
+	benchCellPruned(b, l, mid-half, mid-half, mid+half, mid+half, 60*100, 60*110-1, 0.9)
+}
+
+// benchCellPruned runs one window query and asserts the share of the
+// indexed records the cell index ruled out on its own.
+func benchCellPruned(b *testing.B, l *Log, minX, minY, maxX, maxY float64, t0, t1 uint32, minFrac float64) {
+	b.Helper()
 	var ws WindowStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, s, err := l.QueryWindowStats(lon-half, lat-half, lon+half, lat+half, 60*100, 60*110-1)
+		_, s, err := l.QueryWindowStats(minX, minY, maxX, maxY, t0, t1)
 		if err != nil {
 			b.Fatal(err)
 		}
 		ws = s
 	}
 	b.StopTimer()
-	frac := float64(ws.RecordsBlockPruned) / float64(ws.RecordsIndexed)
-	b.ReportMetric(frac, "block-pruned-frac")
+	frac := float64(ws.RecordsCellPruned) / float64(ws.RecordsIndexed)
+	b.ReportMetric(frac, "cell-pruned-frac")
 	b.ReportMetric(float64(ws.RecordsMatched), "matched/op")
 	if ws.RecordsMatched == 0 {
 		b.Fatalf("window matched nothing: %+v", ws)
 	}
-	if frac < 0.8 {
-		b.Fatalf("block summaries skipped %d of %d records (%.1f%%), want ≥ 80%%",
-			ws.RecordsBlockPruned, ws.RecordsIndexed, 100*frac)
+	if frac < minFrac {
+		b.Fatalf("cell index ruled out %d of %d records (%.1f%%), want ≥ %.0f%%",
+			ws.RecordsCellPruned, ws.RecordsIndexed, 100*frac, 100*minFrac)
 	}
 }

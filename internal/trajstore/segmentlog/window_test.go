@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -440,62 +441,130 @@ func TestQueryWindowConcurrent(t *testing.T) {
 	}
 }
 
-// Block-summary lifecycle tests. Each builds segments whose record
-// counts straddle blockRecs boundaries, drives one way of changing a
-// segment's records, and then asserts two things: every in-memory block
-// summary is exactly the summary of its run of records (blocksExact),
+// Cell-index lifecycle tests. Each builds segments whose records sit on
+// cell edges, at negative coordinates and on the wide list, with cell
+// lists that straddle runRecs boundaries; drives one way of changing a
+// segment's records; and then asserts two things: every in-memory cell
+// index is exactly the index of its segment's records (indexExact),
 // and every window answers exactly like the brute-force oracle
 // (checkWindow), which reads through the per-device index and never
-// consults a summary.
+// consults the cell index.
 
-// blockKeys builds record i of the block fixture: device (i/32)%4, so a
-// block of 64 records holds two devices' runs, with time bounds that
-// grow with i (record i spans about [1000+100·i, 1012+100·i]).
-func blockKeys(i int) (string, []trajstore.GeoKey) {
+// lifeKeys builds record i of the lifecycle fixture: device (i/32)%4,
+// so a run of 64 consecutive records holds two devices' runs, with time
+// bounds that grow with i (record i spans about [1000+100·i,
+// 1012+100·i]). Device 0 sits on the origin, where four cells meet;
+// device 1 crosses a cell corner at positive coordinates; device 2
+// drifts through several cells at negative coordinates; each record of
+// device 3 covers more than maxRecordCells cells, so it goes on the
+// wide list.
+func lifeKeys(i int) (string, []trajstore.GeoKey) {
+	const cell = 1 << cellShift
 	d := (i / 32) % 4
-	return fmt.Sprintf("dev-%03d", d), cellKeys(d, i, 6)
+	// Start latitude, start longitude and per-key step, in 1e-7°.
+	start := [4][3]int64{
+		{-300, -200, 40},
+		{3*cell - 90, 5*cell - 90, 30},
+		{-900_000 - int64(i)*2_000, -1_200_000 + int64(i)*1_500, 25},
+		{400_000, -600_000, cell},
+	}[d]
+	t := recTime(i)
+	keys := make([]trajstore.GeoKey, 6)
+	for k := range keys {
+		keys[k] = trajstore.GeoKey{
+			Lat: float64(start[0]+int64(k)*start[2]) / 1e7,
+			Lon: float64(start[1]+int64(k)*start[2]) / 1e7,
+			T:   t,
+		}
+		t += uint32(k%3 + 1)
+	}
+	return fmt.Sprintf("dev-%03d", d), keys
 }
 
-// blockFill appends records [from, to) of the block fixture.
-func blockFill(t *testing.T, l *Log, from, to int) {
+// lifeFill appends records [from, to) of the lifecycle fixture.
+func lifeFill(t *testing.T, l *Log, from, to int) {
 	t.Helper()
 	for i := from; i < to; i++ {
-		dev, keys := blockKeys(i)
+		dev, keys := lifeKeys(i)
 		if err := l.Append(dev, keys); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
 }
 
-// recTime returns the first timestamp of block-fixture record i.
+// recTime returns the first timestamp of lifecycle-fixture record i.
 func recTime(i int) uint32 { return uint32(1000 + 100*i) }
 
-// blocksExact asserts every loaded segment's block summaries are
-// exactly the summaries of their runs of blockRecs records (and the
-// segment summary that of all its records); deferred segments hold
-// neither records nor blocks.
-func blocksExact(t *testing.T, l *Log, stage string) {
+// indexExact asserts every loaded segment's cell index is exactly the
+// index of its records: each record with a bbox over at most
+// maxRecordCells cells is listed, in log order, under every cell it
+// covers and no other; every other record is on the wide list; every
+// run summary is the summary of its entries; and the whole index equals
+// one built from scratch over the metas. The segment summary must be
+// that of all its records. Deferred segments hold nothing.
+func indexExact(t *testing.T, l *Log, stage string) {
 	t.Helper()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if len(l.segRecs) != len(l.segs) {
 		t.Fatalf("%s: %d record lists for %d segments", stage, len(l.segRecs), len(l.segs))
 	}
-	for si, r := range l.segRecs {
+	for si := range l.segRecs {
+		r := &l.segRecs[si]
 		if l.segs[si].lazy {
-			if len(r.metas) != 0 || len(r.blocks) != 0 {
-				t.Fatalf("%s: deferred segment %d holds %d records, %d blocks", stage, si, len(r.metas), len(r.blocks))
+			if len(r.metas) != 0 || len(r.lists) != 0 || len(r.cells) != 0 || len(r.wide.pos) != 0 {
+				t.Fatalf("%s: deferred segment %d holds %d records, %d cells, %d wide", stage, si, len(r.metas), len(r.lists), len(r.wide.pos))
 			}
 			continue
 		}
-		if want := (len(r.metas) + blockRecs - 1) / blockRecs; len(r.blocks) != want {
-			t.Fatalf("%s: segment %d: %d blocks for %d records, want %d", stage, si, len(r.blocks), len(r.metas), want)
-		}
-		for b := range r.blocks {
-			lo := b * blockRecs
-			if want := summarize(r.metas[lo:min(lo+blockRecs, len(r.metas))]); r.blocks[b] != want {
-				t.Fatalf("%s: segment %d block %d: summary %+v, want %+v", stage, si, b, r.blocks[b], want)
+		want := make(map[uint64][]int32)
+		var wantWide []int32
+		for p := range r.metas {
+			x0, y0, x1, y1, ok := recordCells(&r.metas[p])
+			if !ok {
+				wantWide = append(wantWide, int32(p))
+				continue
 			}
+			for cy := y0; cy <= y1; cy++ {
+				for cx := x0; cx <= x1; cx++ {
+					want[cellKey(cx, cy)] = append(want[cellKey(cx, cy)], int32(p))
+				}
+			}
+		}
+		if len(r.lists) != len(want) || len(r.cells) != len(want) {
+			t.Fatalf("%s: segment %d: %d cell lists, %d map entries, want %d cells", stage, si, len(r.lists), len(r.cells), len(want))
+		}
+		runsExact := func(name string, c *cellList, wantPos []int32) {
+			t.Helper()
+			if !slices.Equal(c.pos, wantPos) {
+				t.Fatalf("%s: segment %d %s: entries %v, want %v", stage, si, name, c.pos, wantPos)
+			}
+			if len(c.sums) != (len(c.pos)+runRecs-1)/runRecs {
+				t.Fatalf("%s: segment %d %s: %d run summaries for %d entries", stage, si, name, len(c.sums), len(c.pos))
+			}
+			for k := range c.sums {
+				var sum segSummary
+				for _, p := range c.pos[k*runRecs : min((k+1)*runRecs, len(c.pos))] {
+					sum.add(r.metas[p])
+				}
+				if c.sums[k] != sum {
+					t.Fatalf("%s: segment %d %s run %d: summary %+v, want %+v", stage, si, name, k, c.sums[k], sum)
+				}
+			}
+		}
+		for li := range r.lists {
+			c := &r.lists[li]
+			key := cellKey(c.cx, c.cy)
+			if got, ok := r.cells[key]; !ok || got != int32(li) {
+				t.Fatalf("%s: segment %d: cell (%d, %d) maps to list %d (present %v), want %d", stage, si, c.cx, c.cy, got, ok, li)
+			}
+			runsExact(fmt.Sprintf("cell (%d, %d)", c.cx, c.cy), c, want[key])
+		}
+		runsExact("wide list", &r.wide, wantWide)
+		var scratch segRecords
+		scratch.set(r.metas)
+		if !reflect.DeepEqual(*r, scratch) {
+			t.Fatalf("%s: segment %d: index differs from one built from scratch", stage, si)
 		}
 		if want := summarize(r.metas); l.segs[si].sum != want {
 			t.Fatalf("%s: segment %d: summary %+v, want %+v", stage, si, l.segs[si].sum, want)
@@ -503,58 +572,95 @@ func blocksExact(t *testing.T, l *Log, stage string) {
 	}
 }
 
-// blockWindows checks blocksExact and the oracle on time-selective,
-// spatial and mixed windows around the block boundaries of the fixture,
-// returning the stats of the window that covers records 125–131.
-func blockWindows(t *testing.T, l *Log, stage string) WindowStats {
+// lifecycleWindows checks indexExact and the oracle on time-selective,
+// spatial and mixed windows: windows straddling cell edges, at negative
+// coordinates, exactly on a cell boundary, over the wide records only,
+// and over the full extent. It returns the stats of the full-area
+// window over the last five records' time.
+func lifecycleWindows(t *testing.T, l *Log, stage string, n int) WindowStats {
 	t.Helper()
-	blocksExact(t, l, stage)
+	const edge = float64(1<<cellShift) / 1e7 // one cell, in degrees
+	indexExact(t, l, stage)
+	all := math.Inf(1)
 	checkWindow(t, l, -10, -10, 10, 10, recTime(60), recTime(70))
-	ws := checkWindow(t, l, -10, -10, 10, 10, recTime(125), recTime(131)+5)
-	checkWindow(t, l, -10, -10, 10, 10, 0, math.MaxUint32)
-	minX, minY, maxX, maxY := cellWindow(1, 1)
-	checkWindow(t, l, minX, minY, maxX, maxY, 0, math.MaxUint32)
-	minX, minY, maxX, maxY = cellWindow(2, 3)
-	checkWindow(t, l, minX, minY, maxX, maxY, recTime(100), recTime(200))
-	checkWindow(t, l, 50, 50, 60, 60, 0, math.MaxUint32) // empty
-	blocksExact(t, l, stage+" (after queries)")
+	ws := checkWindow(t, l, -180, -90, 180, 90, recTime(max(n-5, 0)), recTime(n))
+	checkWindow(t, l, -all, -all, all, all, 0, math.MaxUint32)
+	checkWindow(t, l, -1e-5, -1e-5, 1e-5, 1e-5, 0, math.MaxUint32)                      // the origin's four cells
+	checkWindow(t, l, 5*edge-2e-6, 3*edge-2e-6, 5*edge+1e-6, 3*edge, 0, math.MaxUint32) // device 1's cell corner
+	checkWindow(t, l, 5*edge, 3*edge, 5*edge, 3*edge, 0, math.MaxUint32)                // a point on the corner
+	// Device 1 from inside its upper cells only: a record must be found
+	// although the window's range misses its lowest cells.
+	checkWindow(t, l, 5*edge+5e-6, -1, 5*edge+1e-5, 1, 0, math.MaxUint32)
+	checkWindow(t, l, -1, 3*edge+5e-6, 1, 3*edge+1e-5, 0, math.MaxUint32)
+	checkWindow(t, l, 5*edge+5e-6, 3*edge+5e-6, 5*edge+1e-5, 3*edge+1e-5, 0, math.MaxUint32)
+	checkWindow(t, l, -0.16, -0.2, -0.1, -0.09, 0, math.MaxUint32) // device 2, negative
+	checkWindow(t, l, -0.16, -0.2, -0.1, -0.09, recTime(70), recTime(80))
+	checkWindow(t, l, -0.06, 0.041, -0.0599, 0.0411, 0, math.MaxUint32) // inside wide records only
+	checkWindow(t, l, 50, 50, 60, 60, 0, math.MaxUint32)                // empty
+	for _, w := range []float64{-2 * edge, -edge, 0, edge} {            // cell-aligned bands
+		checkWindow(t, l, w, -1, w+edge, 1, 0, math.MaxUint32)
+		checkWindow(t, l, -1, w, 1, w, 0, math.MaxUint32)
+	}
+	indexExact(t, l, stage+" (after queries)")
 	return ws
 }
 
-func TestWindowBlocksAppend(t *testing.T) {
+// statsConsistent asserts the nesting of the pruning counters.
+func statsConsistent(t *testing.T, ws WindowStats, stage string) {
+	t.Helper()
+	if ws.RecordsCellPruned > ws.RecordsPruned || ws.RecordsPruned > ws.RecordsIndexed ||
+		ws.RecordsDecoded+ws.CacheHits != ws.RecordsIndexed-ws.RecordsPruned {
+		t.Fatalf("%s: inconsistent stats %+v", stage, ws)
+	}
+}
+
+func TestWindowCellsAppend(t *testing.T) {
 	l := mustOpen(t, t.TempDir(), Options{})
 	defer l.Close()
 	n := 0
 	for _, want := range []int{1, 63, 64, 65, 127, 128, 129, 191, 193} {
-		blockFill(t, l, n, want)
+		lifeFill(t, l, n, want)
 		n = want
-		ws := blockWindows(t, l, fmt.Sprintf("%d records", n))
-		// Records 0–63 fill the first block and all miss the 125–131
-		// time window, so the block is skipped whole once the window
-		// has records of its own to match.
-		if n > 128 && ws.RecordsBlockPruned < blockRecs {
-			t.Fatalf("%d records: block tier skipped %d records on a time-selective window", n, ws.RecordsBlockPruned)
+		stage := fmt.Sprintf("%d records", n)
+		ws := lifecycleWindows(t, l, stage, n)
+		statsConsistent(t, ws, stage)
+		// Each device's first 32 records make a cell or wide run that
+		// ends long before the last five records' time, so once the log
+		// has grown past two runs of them, at least 64 records are
+		// skipped without their own metadata being tested.
+		if n > 128 && ws.RecordsCellPruned < runRecs {
+			t.Fatalf("%s: cell index skipped %d records on a time-selective window", stage, ws.RecordsCellPruned)
 		}
-		if ws.RecordsBlockPruned > ws.RecordsPruned || ws.RecordsPruned > ws.RecordsIndexed {
-			t.Fatalf("%d records: inconsistent stats %+v", n, ws)
+		// A window on the origin visits only device 0's cells and the
+		// wide list: devices 1 and 2 are never tested.
+		ws = checkWindow(t, l, -1e-5, -1e-5, 1e-5, 1e-5, 0, math.MaxUint32)
+		statsConsistent(t, ws, stage+" origin")
+		far := 0
+		for i := 0; i < n; i++ {
+			if d := (i / 32) % 4; d == 1 || d == 2 {
+				far++
+			}
+		}
+		if ws.RecordsCellPruned < far {
+			t.Fatalf("%s: origin window left %d of %d far records to their metadata", stage, far-ws.RecordsCellPruned, far)
 		}
 	}
 }
 
-// TestWindowBlocksPoisonHeal: a failed fsync withdraws the at-risk tail
-// — records 100–129, which cross the block boundary at 128 — out of
-// the active segment; the cut block must be re-summarized, and the heal
-// that lands the tail in a fresh segment (after one failed publish that
-// rolls back) must summarize it there.
-func TestWindowBlocksPoisonHeal(t *testing.T) {
+// TestWindowCellsPoisonHeal: a failed fsync withdraws the at-risk tail
+// — records 100–129, which cross a run boundary of several cell lists —
+// out of the active segment; the index must be rebuilt without them,
+// and the heal that lands the tail in a fresh segment (after one failed
+// publish that rolls back) must index it there.
+func TestWindowCellsPoisonHeal(t *testing.T) {
 	fs := vfs.NewFaultFS(11)
 	l := mustOpen(t, t.TempDir(), Options{FS: fs})
 	defer l.Close()
-	blockFill(t, l, 0, 100)
+	lifeFill(t, l, 0, 100)
 	if err := l.Sync(); err != nil { // watermark after record 99
 		t.Fatal(err)
 	}
-	blockFill(t, l, 100, 130)
+	lifeFill(t, l, 100, 130)
 	fs.AddRule(vfs.Rule{Op: vfs.OpSync, Path: "seg-*.log", Fault: vfs.FaultEIO, Count: 1})
 	fs.AddRule(vfs.Rule{Op: vfs.OpRename, Path: manifestName, Fault: vfs.FaultEIO, Count: 1})
 	if err := l.Sync(); err == nil {
@@ -563,27 +669,27 @@ func TestWindowBlocksPoisonHeal(t *testing.T) {
 	if s := l.Stats(); s.Records != 100 {
 		t.Fatalf("poisoned log indexes %d records, want the 100 durable ones", s.Records)
 	}
-	blockWindows(t, l, "poisoned, heal rolled back")
+	lifecycleWindows(t, l, "poisoned, heal rolled back", 100)
 	if err := l.Sync(); err != nil { // rules exhausted: the heal lands
 		t.Fatal(err)
 	}
 	if s := l.Stats(); s.Records != 130 || s.Segments != 2 {
 		t.Fatalf("after heal: %+v, want 130 records in 2 segments", s)
 	}
-	blockWindows(t, l, "healed")
-	blockFill(t, l, 130, 200)
-	blockWindows(t, l, "appended after heal")
+	lifecycleWindows(t, l, "healed", 130)
+	lifeFill(t, l, 130, 200)
+	lifecycleWindows(t, l, "appended after heal", 200)
 }
 
-// TestWindowBlocksPoisonNothingDurable drives the heal's other path: no
+// TestWindowCellsPoisonNothingDurable drives the heal's other path: no
 // fsync ever succeeded, so the poisoned segment keeps no record and the
 // salvage file takes its slot — first with a publish failure that
 // restores the empty slot, then for real.
-func TestWindowBlocksPoisonNothingDurable(t *testing.T) {
+func TestWindowCellsPoisonNothingDurable(t *testing.T) {
 	fs := vfs.NewFaultFS(12)
 	l := mustOpen(t, t.TempDir(), Options{FS: fs})
 	defer l.Close()
-	blockFill(t, l, 0, 70)
+	lifeFill(t, l, 0, 70)
 	fs.AddRule(vfs.Rule{Op: vfs.OpSync, Path: "seg-*.log", Fault: vfs.FaultEIO})
 	if err := l.Sync(); err == nil {
 		t.Fatal("Sync succeeded while every segment fsync fails")
@@ -591,34 +697,33 @@ func TestWindowBlocksPoisonNothingDurable(t *testing.T) {
 	if s := l.Stats(); s.Records != 0 {
 		t.Fatalf("poisoned log indexes %d records, want 0", s.Records)
 	}
-	blockWindows(t, l, "poisoned, nothing durable")
+	lifecycleWindows(t, l, "poisoned, nothing durable", 0)
 	fs.ClearRules()
 	fs.AddRule(vfs.Rule{Op: vfs.OpRename, Path: manifestName, Fault: vfs.FaultEIO, Count: 1})
 	if err := l.Sync(); err == nil {
 		t.Fatal("Sync succeeded although the salvage publish failed")
 	}
-	blockWindows(t, l, "heal rolled back")
+	lifecycleWindows(t, l, "heal rolled back", 0)
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if s := l.Stats(); s.Records != 70 || s.Segments != 1 {
 		t.Fatalf("after heal: %+v, want 70 records in 1 segment", s)
 	}
-	blockWindows(t, l, "healed into the salvage slot")
+	lifecycleWindows(t, l, "healed into the salvage slot", 70)
 }
 
-// TestWindowBlocksRotation: rotations seal segments of about 90 records
-// (a full block plus a partial one), and a rotation whose manifest
-// publish fails rolls back, leaving the old segment active and still
-// growing its last block.
-func TestWindowBlocksRotation(t *testing.T) {
+// TestWindowCellsRotation: rotations seal segments longer than a run,
+// and a rotation whose manifest publish fails rolls back, leaving the
+// old segment active and its index still growing.
+func TestWindowCellsRotation(t *testing.T) {
 	fs := vfs.NewFaultFS(13)
 	l := mustOpen(t, t.TempDir(), Options{FS: fs, MaxSegmentBytes: 6 << 10})
 	defer l.Close()
 	fs.AddRule(vfs.Rule{Op: vfs.OpRename, Path: manifestName, Fault: vfs.FaultEIO, Count: 1})
 	n := 0
 	for l.Stats().Segments == 1 && n < 1000 {
-		blockFill(t, l, n, n+1)
+		lifeFill(t, l, n, n+1)
 		n++
 	}
 	// The first rotation attempt failed to publish; the second, one
@@ -626,27 +731,27 @@ func TestWindowBlocksRotation(t *testing.T) {
 	if n >= 1000 {
 		t.Fatal("the log never rotated")
 	}
-	if n < blockRecs+2 {
-		t.Fatalf("rotated after %d records; the fixture wants segments longer than a block", n)
+	if n < runRecs+2 {
+		t.Fatalf("rotated after %d records; the fixture wants segments longer than a run", n)
 	}
-	blockWindows(t, l, fmt.Sprintf("rotated after %d records", n))
-	blockFill(t, l, n, 300)
+	lifecycleWindows(t, l, fmt.Sprintf("rotated after %d records", n), n)
+	lifeFill(t, l, n, 300)
 	if s := l.Stats(); s.Segments < 3 {
 		t.Fatalf("300 records fill %d segments, want ≥ 3", s.Segments)
 	}
-	blockWindows(t, l, "several rotations")
+	lifecycleWindows(t, l, "several rotations", 300)
 }
 
-// TestWindowBlocksCompactReopen: compaction installs freshly written
-// segments (their blocks built by the compactor), and a reopen defers
+// TestWindowCellsCompactReopen: compaction installs freshly written
+// segments (their index built by the compactor), and a reopen defers
 // sealed segments until a window query loads them through their block
 // index; both read-write and read-only.
-func TestWindowBlocksCompactReopen(t *testing.T) {
+func TestWindowCellsCompactReopen(t *testing.T) {
 	dir := t.TempDir()
 	opts := Options{MaxSegmentBytes: 6 << 10}
 	l := mustOpen(t, dir, opts)
-	blockFill(t, l, 0, 300)
-	blockWindows(t, l, "before compaction")
+	lifeFill(t, l, 0, 300)
+	lifecycleWindows(t, l, "before compaction", 300)
 	// Ageing rewrites every sealed record, regrouped per device.
 	res, err := l.Compact(CompactionPolicy{CoarseTolerance: 5})
 	if err != nil {
@@ -655,8 +760,8 @@ func TestWindowBlocksCompactReopen(t *testing.T) {
 	if res.Gen == 0 || res.SegmentsOut == 0 {
 		t.Fatalf("compaction did not rewrite: %+v", res)
 	}
-	blockWindows(t, l, "after compaction")
-	blockFill(t, l, 300, 330)
+	lifecycleWindows(t, l, "after compaction", 300)
+	lifeFill(t, l, 300, 330)
 	want := byDevice(mustWindow(t, l, -10, -10, 10, 10))
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -677,7 +782,8 @@ func TestWindowBlocksCompactReopen(t *testing.T) {
 			t.Fatalf("read-only=%v: reopen deferred no segment", ro)
 		}
 		stage := fmt.Sprintf("reopened (read-only=%v)", ro)
-		blockWindows(t, l, stage)
+		indexExact(t, l, stage+", deferred")
+		lifecycleWindows(t, l, stage, 330)
 		if got := byDevice(mustWindow(t, l, -10, -10, 10, 10)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: results changed across reopen", stage)
 		}
@@ -688,12 +794,12 @@ func TestWindowBlocksCompactReopen(t *testing.T) {
 }
 
 // writeV1Segment writes a version-1 segment file (no record bounding
-// boxes) holding block-fixture records [0, n).
+// boxes) holding lifecycle-fixture records [0, n).
 func writeV1Segment(t *testing.T, path string, n int) {
 	t.Helper()
 	data := append(append([]byte(nil), magic[:]...), versionLegacy, 0)
 	for i := 0; i < n; i++ {
-		dev, keys := blockKeys(i)
+		dev, keys := lifeKeys(i)
 		payload, err := trajstore.DeltaEncode(keys)
 		if err != nil {
 			t.Fatal(err)
@@ -713,14 +819,15 @@ func writeV1Segment(t *testing.T, path string, n int) {
 	}
 }
 
-// TestWindowBlocksLegacy: legacy records carry no bounding box, so
-// their blocks are never spatially pruned (bbAll false) but still prune
-// on time. Covers the checked-in v1 fixture (one partial block) and a
-// 130-record v1 segment read-only, writable (sealed behind a fresh
-// current-format segment) and after the compaction upgrade.
-func TestWindowBlocksLegacy(t *testing.T) {
+// TestWindowCellsLegacy: legacy records carry no bounding box, so they
+// all go on the wide list, whose runs are never spatially pruned
+// (bbAll false) but still prune on time. Covers the checked-in v1
+// fixture and a 130-record v1 segment read-only, writable (sealed
+// behind a fresh current-format segment) and after the compaction
+// upgrade, which moves the records into cells.
+func TestWindowCellsLegacy(t *testing.T) {
 	fix := mustOpen(t, copyFixture(t), Options{ReadOnly: true})
-	blocksExact(t, fix, "v1 fixture")
+	indexExact(t, fix, "v1 fixture")
 	for _, w := range fixtureWindows {
 		checkWindow(t, fix, w.minX, w.minY, w.maxX, w.maxY, w.t0, w.t1)
 	}
@@ -731,13 +838,18 @@ func TestWindowBlocksLegacy(t *testing.T) {
 	dir := t.TempDir()
 	writeV1Segment(t, filepath.Join(dir, segName(1)), 130)
 	ro := mustOpen(t, dir, Options{ReadOnly: true})
-	ws := blockWindows(t, ro, "v1 read-only")
-	if ws.RecordsBlockPruned < blockRecs {
-		t.Fatalf("v1 blocks not time-pruned: %+v", ws)
+	ws := lifecycleWindows(t, ro, "v1 read-only", 130)
+	if ws.RecordsCellPruned < runRecs {
+		t.Fatalf("v1 runs not time-pruned: %+v", ws)
 	}
-	minX, minY, maxX, maxY := cellWindow(1, 1)
-	if ws := checkWindow(t, ro, minX, minY, maxX, maxY, 0, math.MaxUint32); ws.RecordsBlockPruned != 0 {
-		t.Fatalf("v1 blocks pruned spatially without bounding boxes: %+v", ws)
+	ro.mu.Lock()
+	wide, cells := len(ro.segRecs[0].wide.pos), len(ro.segRecs[0].lists)
+	ro.mu.Unlock()
+	if wide != 130 || cells != 0 {
+		t.Fatalf("v1 records indexed under %d cells with %d wide, want all 130 wide", cells, wide)
+	}
+	if ws := checkWindow(t, ro, -1e-5, -1e-5, 1e-5, 1e-5, 0, math.MaxUint32); ws.RecordsCellPruned != 0 {
+		t.Fatalf("v1 runs pruned spatially without bounding boxes: %+v", ws)
 	}
 	if err := ro.Close(); err != nil {
 		t.Fatal(err)
@@ -745,17 +857,12 @@ func TestWindowBlocksLegacy(t *testing.T) {
 
 	l := mustOpen(t, dir, Options{MaxSegmentBytes: 6 << 10})
 	defer l.Close()
-	blockWindows(t, l, "v1 writable")
+	lifecycleWindows(t, l, "v1 writable", 130)
 	// Appends land in a current-format segment after the sealed v1 one.
-	for i := 130; i < 200; i++ {
-		dev, keys := blockKeys(i)
-		if err := l.Append(dev, keys); err != nil {
-			t.Fatal(err)
-		}
-	}
-	blockWindows(t, l, "v1 plus current-format appends")
+	lifeFill(t, l, 130, 200)
+	lifecycleWindows(t, l, "v1 plus current-format appends", 200)
 	if res, err := l.Compact(CompactionPolicy{NoDedup: true}); err != nil || res.Gen == 0 {
 		t.Fatalf("upgrade compaction: %+v, %v", res, err)
 	}
-	blockWindows(t, l, "v1 upgraded by compaction")
+	lifecycleWindows(t, l, "v1 upgraded by compaction", 200)
 }
